@@ -14,6 +14,14 @@ namespace
 /** StepPartials per 64-byte cache line: padding stride for PE slots. */
 constexpr std::size_t kPartialsStride = 4;
 
+/**
+ * Interior rows per BCSR3 kernel batch.  Batching only amortizes the
+ * kernel-call overhead: each row's arithmetic and the finalizer's row
+ * order are those of a row-at-a-time sweep, so results are bitwise
+ * independent of the batch size.
+ */
+constexpr std::int64_t kRowBatch = 64;
+
 /** Split `cpus` into `parts` contiguous chunks (some may be empty). */
 std::vector<std::vector<int>>
 splitCpus(const std::vector<int> &cpus, int parts)
@@ -27,6 +35,34 @@ splitCpus(const std::vector<int> &cpus, int parts)
                                                 cpus.begin() + hi);
     }
     return out;
+}
+
+/**
+ * Hand PE `pe`'s owned rows among rows[0, n) (ascending local ids) to
+ * the row finalizer as maximal runs whose local and global ids are
+ * both consecutive: fin(pe, v0, g0, len) finalizes local nodes
+ * [v0, v0 + len), which are global nodes [g0, g0 + len).
+ */
+template <class Finalize>
+void
+finalizeRows(const Subdomain &sub, int pe, const std::int64_t *rows,
+             std::int64_t n, const Finalize &fin)
+{
+    for (std::int64_t r = 0; r < n;) {
+        const std::int64_t v0 = rows[r];
+        if (!sub.ownsNode[v0]) {
+            ++r;
+            continue;
+        }
+        const std::int64_t g0 = sub.globalNodes[v0];
+        std::int64_t len = 1;
+        while (r + len < n && rows[r + len] == v0 + len &&
+               sub.ownsNode[v0 + len] &&
+               sub.globalNodes[v0 + len] == g0 + len)
+            ++len;
+        fin(pe, v0, g0, len);
+        r += len;
+    }
 }
 
 } // namespace
@@ -319,29 +355,12 @@ ParallelSmvp::waitForPublish(std::int64_t peer_flat, int slot,
     }
 }
 
+template <class Finalize>
 void
-ParallelSmvp::recordEllCounters(int pe, telemetry::Collector *tele,
-                                int slot) const
-{
-    if (tele == nullptr)
-        return;
-    const sparse::SlicedEll3Matrix &b =
-        boundary_ell_[static_cast<std::size_t>(pe)];
-    const sparse::SlicedEll3Matrix &in =
-        interior_ell_[static_cast<std::size_t>(pe)];
-    tele->add(slot, telemetry::Counter::kEllSliceMultiplies,
-              static_cast<std::uint64_t>(b.numSlices() + in.numSlices()));
-    tele->add(slot, telemetry::Counter::kEllPaddedBlocks,
-              static_cast<std::uint64_t>(
-                  (b.storedBlocks() - b.structuralBlocks()) +
-                  (in.storedBlocks() - in.structuralBlocks())));
-}
-
-void
-ParallelSmvp::runLocalPhase(const double *x, int s, int tid,
-                            bool publish_early) const
+ParallelSmvp::runLocalPhase(int s, int tid, const Finalize &fin) const
 {
     const int end = shard_begin_[s + 1];
+    const bool publish_early = mode_ == ExchangeMode::kOverlapped;
     telemetry::Collector *tele =
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
     const bool sampled = tele != nullptr && tele->sampledStep();
@@ -361,9 +380,9 @@ ParallelSmvp::runLocalPhase(const double *x, int s, int tid,
         std::vector<double> &xl = x_local_[i];
         for (std::int64_t v = 0; v < nl; ++v) {
             const std::int64_t g = sub.globalNodes[v];
-            xl[3 * v + 0] = x[3 * g + 0];
-            xl[3 * v + 1] = x[3 * g + 1];
-            xl[3 * v + 2] = x[3 * g + 2];
+            xl[3 * v + 0] = x_arg_[3 * g + 0];
+            xl[3 * v + 1] = x_arg_[3 * g + 1];
+            xl[3 * v + 2] = x_arg_[3 * g + 2];
         }
 
         std::vector<double> &yl = y_local_[i];
@@ -395,18 +414,45 @@ ParallelSmvp::runLocalPhase(const double *x, int s, int tid,
                              b0, tele->now());
     }
 
+    // Interior rows in batches: one kernel call computes a batch's K u
+    // values and the finalizer consumes them while they are still in
+    // cache.  An interior node lives on exactly one PE, which owns it,
+    // so its row is final here and the finalizer's writes are disjoint
+    // across PEs.  A sliced-ELL batch is one slice, whose lanes are the
+    // next interiorRows in list order (pad lanes trail the last slice).
     for (int i = shard_begin_[s] + tid; i < end;
          i += threads_per_shard_) {
         const Subdomain &sub = problem_.subdomains[i];
+        const double *xl = x_local_[i].data();
+        double *yl = y_local_[i].data();
+        const std::int64_t *rows = sub.interiorRows.data();
+        const std::int64_t nr =
+            static_cast<std::int64_t>(sub.interiorRows.size());
         if (backend_ == SmvpKernelBackend::kSlicedEll3) {
-            interior_ell_[i].multiply(x_local_[i].data(),
-                                      y_local_[i].data());
-            recordEllCounters(i, tele, slot);
+            const sparse::SlicedEll3Matrix &ell = interior_ell_[i];
+            const std::int64_t h = ell.sliceHeight();
+            for (std::int64_t sl = 0; sl < ell.numSlices(); ++sl) {
+                ell.multiplySlices(xl, yl, sl, sl + 1);
+                finalizeRows(sub, i, rows + sl * h,
+                             std::min(h, nr - sl * h), fin);
+            }
+            if (tele != nullptr) {
+                const sparse::SlicedEll3Matrix &b = boundary_ell_[i];
+                tele->add(slot, telemetry::Counter::kEllSliceMultiplies,
+                          static_cast<std::uint64_t>(b.numSlices() +
+                                                     ell.numSlices()));
+                tele->add(slot, telemetry::Counter::kEllPaddedBlocks,
+                          static_cast<std::uint64_t>(
+                              (b.storedBlocks() - b.structuralBlocks()) +
+                              (ell.storedBlocks() -
+                               ell.structuralBlocks())));
+            }
         } else {
-            localK(i).multiplyRowList(
-                x_local_[i].data(), y_local_[i].data(),
-                sub.interiorRows.data(),
-                static_cast<std::int64_t>(sub.interiorRows.size()));
+            for (std::int64_t r0 = 0; r0 < nr; r0 += kRowBatch) {
+                const std::int64_t count = std::min(kRowBatch, nr - r0);
+                localK(i).multiplyRowList(xl, yl, rows + r0, count);
+                finalizeRows(sub, i, rows + r0, count, fin);
+            }
         }
     }
 
@@ -419,11 +465,12 @@ ParallelSmvp::runLocalPhase(const double *x, int s, int tid,
     }
 }
 
+template <class Finalize>
 void
-ParallelSmvp::runExchangePhase(double *y, int s, int tid,
-                               bool wait_for_publish) const
+ParallelSmvp::runExchangePhase(int s, int tid, const Finalize &fin) const
 {
     const int end = shard_begin_[s + 1];
+    const bool wait_for_publish = mode_ == ExchangeMode::kOverlapped;
     telemetry::Collector *tele =
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
     const bool sampled = tele != nullptr && tele->sampledStep();
@@ -456,14 +503,10 @@ ParallelSmvp::runExchangePhase(double *y, int s, int tid,
             }
         }
 
-        for (std::int64_t v = 0; v < sub.numLocalNodes(); ++v) {
-            if (!sub.ownsNode[v])
-                continue;
-            const std::int64_t g = sub.globalNodes[v];
-            y[3 * g + 0] = yl[3 * v + 0];
-            y[3 * g + 1] = yl[3 * v + 1];
-            y[3 * g + 2] = yl[3 * v + 2];
-        }
+        // Every owned boundary row's peer sum is final here.
+        finalizeRows(sub, i, sub.boundaryRows.data(),
+                     static_cast<std::int64_t>(sub.boundaryRows.size()),
+                     fin);
         if (tele != nullptr) {
             tele->add(slot, telemetry::Counter::kShardRemoteBytes,
                       static_cast<std::uint64_t>(pe_remote_bytes_[i]));
@@ -481,314 +524,76 @@ ParallelSmvp::runExchangePhase(double *y, int s, int tid,
 }
 
 void
-ParallelSmvp::runLocalPhaseFused(int s, int tid, bool publish_early) const
+ParallelSmvp::runWorker(int s, int tid) const
 {
-    const sparse::StepUpdate &su = *su_arg_;
-    const int end = shard_begin_[s + 1];
-    telemetry::Collector *tele =
-        tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
-    const bool sampled = tele != nullptr && tele->sampledStep();
-    const int slot = teleSlot(s, tid);
-    const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
-
-    // Identical to runLocalPhase (same gather, same kernels, same
-    // publish protocol) up to the interior sweep...
-    for (int i = shard_begin_[s] + tid; i < end;
-         i += threads_per_shard_) {
-        const Subdomain &sub = problem_.subdomains[i];
-        const std::int64_t nl = sub.numLocalNodes();
-        const std::uint64_t b0 = sampled ? tele->now() : 0;
-
-        std::vector<double> &xl = x_local_[i];
-        for (std::int64_t v = 0; v < nl; ++v) {
-            const std::int64_t g = sub.globalNodes[v];
-            xl[3 * v + 0] = su.u[3 * g + 0];
-            xl[3 * v + 1] = su.u[3 * g + 1];
-            xl[3 * v + 2] = su.u[3 * g + 2];
-        }
-
-        std::vector<double> &yl = y_local_[i];
-        if (backend_ == SmvpKernelBackend::kSlicedEll3)
-            boundary_ell_[i].multiply(xl.data(), yl.data());
-        else
-            localK(i).multiplyRowList(
-                xl.data(), yl.data(), sub.boundaryRows.data(),
-                static_cast<std::int64_t>(sub.boundaryRows.size()));
-
-        const PeSchedule &pe = problem_.schedule.pe(i);
-        for (std::size_t k = 0; k < pe.exchanges.size(); ++k) {
-            const std::int64_t flat =
-                exchange_base_[i] + static_cast<std::int64_t>(k);
-            const std::vector<std::int64_t> &locals =
-                exchange_local_nodes_[flat];
-            std::vector<double> &buf = buffers_[flat];
-            for (std::size_t v = 0; v < locals.size(); ++v) {
-                buf[3 * v + 0] = yl[3 * locals[v] + 0];
-                buf[3 * v + 1] = yl[3 * locals[v] + 1];
-                buf[3 * v + 2] = yl[3 * locals[v] + 2];
-            }
-            if (publish_early)
-                published_[flat].store(epoch_,
-                                       std::memory_order_release);
-        }
-        if (sampled)
-            tele->recordSpan(slot, telemetry::Span::kBoundaryPhase, i,
-                             b0, tele->now());
-    }
-
-    if (backend_ == SmvpKernelBackend::kSlicedEll3) {
-        // Sliced-ELL fused interior: each slice's K u values are
-        // computed by the dispatched slice kernel, then the update
-        // triad consumes the slice's lanes while they are hot.  Lane
-        // order is the ascending interiorRows order (fromBcsr3Rows
-        // preserves list order and pad lanes trail the last slice), so
-        // the per-PE partials accumulate in exactly the row order of
-        // the BCSR3 formulation — bitwise deterministic across shard
-        // counts, thread counts, and exchange modes within this
-        // backend.  No heap allocation: the slabs and scratch are
-        // persistent.
-        for (int i = shard_begin_[s] + tid; i < end;
-             i += threads_per_shard_) {
-            const Subdomain &sub = problem_.subdomains[i];
-            const std::vector<double> &xl = x_local_[i];
-            std::vector<double> &yl = y_local_[i];
-            sparse::StepPartials &partials = step_partials_
-                [static_cast<std::size_t>(i) * kPartialsStride];
-            const sparse::SlicedEll3Matrix &ell =
-                interior_ell_[static_cast<std::size_t>(i)];
-            const std::int64_t S = ell.sliceHeight();
-            for (std::int64_t sl = 0; sl < ell.numSlices(); ++sl) {
-                ell.multiplySlices(xl.data(), yl.data(), sl, sl + 1);
-                for (std::int64_t l = 0; l < S; ++l) {
-                    const std::int64_t v = ell.laneRow(sl * S + l);
-                    if (v < 0)
-                        break;
-                    const std::int64_t g = sub.globalNodes[v];
-                    for (int c = 0; c < 3; ++c) {
-                        const std::int64_t gi = 3 * g + c;
-                        const double ui = xl[3 * v + c];
-                        partials.accumulate(
-                            su, gi, ui,
-                            su.apply(gi, ui, yl[3 * v + c]));
-                    }
-                }
-            }
-            recordEllCounters(i, tele, slot);
-        }
-        if (tele != nullptr) {
-            const std::uint64_t t1 = tele->now();
-            tele->observe(slot, telemetry::Hist::kLocalPhaseNanos,
-                          t1 - t0);
-            if (sampled)
-                tele->recordSpan(slot, telemetry::Span::kLocalPhase, -1,
-                                 t0, t1);
-        }
-        return;
-    }
-
-    // ...then interior rows are updated in small chunks: one kernel
-    // call computes a chunk's K u values, and the update triad consumes
-    // them immediately, while the chunk is still in cache.  (Chunking
-    // only amortizes the kernel-call overhead; each row's arithmetic
-    // and the ascending accumulation order are exactly those of the
-    // row-at-a-time formulation, so the result is bitwise unchanged.)
-    // Interior nodes live on exactly one PE (so their local value is
-    // the global one) and that PE owns them, so the write to su.up is
-    // race-free and disjoint across PEs.
-    constexpr std::int64_t kFuseChunk = 64;
-    for (int i = shard_begin_[s] + tid; i < end;
-         i += threads_per_shard_) {
-        const Subdomain &sub = problem_.subdomains[i];
-        const std::vector<double> &xl = x_local_[i];
-        std::vector<double> &yl = y_local_[i];
-        sparse::StepPartials &partials =
-            step_partials_[static_cast<std::size_t>(i) * kPartialsStride];
-        const std::int64_t nr =
-            static_cast<std::int64_t>(sub.interiorRows.size());
-        for (std::int64_t r0 = 0; r0 < nr; r0 += kFuseChunk) {
-            const std::int64_t count = std::min(kFuseChunk, nr - r0);
-            localK(i).multiplyRowList(
-                xl.data(), yl.data(), sub.interiorRows.data() + r0,
-                count);
-            // Apply the update over maximal runs of rows whose local
-            // AND global ids are both consecutive (globalNodes is
-            // sorted, so such runs are common on coherently numbered
-            // meshes): each run is a contiguous triad sweep over
-            // xl/yl and the global arrays.  xl[3v+c] is the gathered
-            // copy of su.u[gi]; the DOF order and arithmetic are
-            // exactly those of the row-at-a-time formulation.
-            for (std::int64_t r = r0; r < r0 + count;) {
-                const std::int64_t v0 = sub.interiorRows[r];
-                const std::int64_t g0 = sub.globalNodes[v0];
-                std::int64_t len = 1;
-                while (r + len < r0 + count &&
-                       sub.interiorRows[r + len] == v0 + len &&
-                       sub.globalNodes[v0 + len] == g0 + len)
-                    ++len;
-                const double *xrun = xl.data() + 3 * v0;
-                const double *yrun = yl.data() + 3 * v0;
-                const std::int64_t base = 3 * g0;
-                for (std::int64_t k = 0; k < 3 * len; ++k) {
-                    const double ui = xrun[k];
-                    partials.accumulate(
-                        su, base + k, ui,
-                        su.apply(base + k, ui, yrun[k]));
-                }
-                r += len;
-            }
-        }
-    }
-
-    if (tele != nullptr) {
-        const std::uint64_t t1 = tele->now();
-        tele->observe(slot, telemetry::Hist::kLocalPhaseNanos, t1 - t0);
-        if (sampled)
-            tele->recordSpan(slot, telemetry::Span::kLocalPhase, -1,
-                             t0, t1);
-    }
-}
-
-void
-ParallelSmvp::runExchangePhaseFused(int s, int tid,
-                                    bool wait_for_publish) const
-{
-    const sparse::StepUpdate &su = *su_arg_;
-    const int end = shard_begin_[s + 1];
-    telemetry::Collector *tele =
-        tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
-    const bool sampled = tele != nullptr && tele->sampledStep();
-    const int slot = teleSlot(s, tid);
-    const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
-
-    for (int i = shard_begin_[s] + tid; i < end;
-         i += threads_per_shard_) {
-        const Subdomain &sub = problem_.subdomains[i];
-        std::vector<double> &yl = y_local_[i];
-        const PeSchedule &pe = problem_.schedule.pe(i);
-        const std::uint64_t e0 = sampled ? tele->now() : 0;
-
-        // Ascending peer order — the determinism guarantee (identical
-        // to runExchangePhase).
-        for (std::size_t k = 0; k < pe.exchanges.size(); ++k) {
-            const Exchange &ex = pe.exchanges[k];
-            const std::int64_t peer_flat =
-                exchange_base_[ex.peer] + mirror_index_[i][k];
-            if (wait_for_publish)
-                waitForPublish(peer_flat, slot, i, tele, sampled);
-            const std::vector<double> &buf = buffers_[peer_flat];
-            const std::vector<std::int64_t> &locals =
-                exchange_local_nodes_[exchange_base_[i] +
-                                      static_cast<std::int64_t>(k)];
-            for (std::size_t v = 0; v < locals.size(); ++v) {
-                yl[3 * locals[v] + 0] += buf[3 * v + 0];
-                yl[3 * locals[v] + 1] += buf[3 * v + 1];
-                yl[3 * locals[v] + 2] += buf[3 * v + 2];
-            }
-        }
-
-        // Where the unfused path copies owned rows into the global y,
-        // the fused path consumes them immediately: each owned boundary
-        // row's peer sum is final here, so apply the update while the
-        // row is hot instead of materializing ku.  (Interior rows were
-        // updated in the local phase.)
-        sparse::StepPartials &partials =
-            step_partials_[static_cast<std::size_t>(i) * kPartialsStride];
-        const std::vector<double> &xl = x_local_[i];
-        for (std::int64_t r = 0;
-             r < static_cast<std::int64_t>(sub.boundaryRows.size());
-             ++r) {
-            const std::int64_t v = sub.boundaryRows[r];
-            if (!sub.ownsNode[v])
-                continue;
-            const std::int64_t g = sub.globalNodes[v];
-            for (int c = 0; c < 3; ++c) {
-                const std::int64_t gi = 3 * g + c;
-                const double ui = xl[3 * v + c];
-                partials.accumulate(
-                    su, gi, ui, su.apply(gi, ui, yl[3 * v + c]));
-            }
-        }
-        if (tele != nullptr) {
-            tele->add(slot, telemetry::Counter::kShardRemoteBytes,
-                      static_cast<std::uint64_t>(pe_remote_bytes_[i]));
-            tele->add(slot, telemetry::Counter::kShardLocalBytes,
-                      static_cast<std::uint64_t>(pe_local_bytes_[i]));
-        }
-        if (sampled)
-            tele->recordSpan(slot, telemetry::Span::kExchange, i, e0,
-                             tele->now());
-    }
-
-    if (tele != nullptr)
-        tele->observe(slot, telemetry::Hist::kExchangeNanos,
-                      tele->now() - t0);
-}
-
-void
-ParallelSmvp::multiplyInto(const double *x, double *y) const
-{
-    telemetry::Collector *tele =
-        tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
-    const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
-
-    x_arg_ = x;
-    y_arg_ = y;
-    ++epoch_;
-
-    if (num_shards_ == 1) {
-        WorkerPool &pool = *shard_pools_[0];
-        if (mode_ == ExchangeMode::kOverlapped) {
-            // One fork/join: each worker publishes its boundary
-            // buffers, overlaps its interior rows with the peers'
-            // publishes, then spin-waits (with yield) only for buffers
-            // not yet ready.
-            pool.run([this](int tid) {
-                runLocalPhase(x_arg_, 0, tid, /*publish_early=*/true);
-                runExchangePhase(y_arg_, 0, tid,
-                                 /*wait_for_publish=*/true);
-            });
-        } else {
-            // Two fork/joins: the pool's join is the BSP barrier.
-            pool.run([this](int tid) {
-                runLocalPhase(x_arg_, 0, tid, false);
-            });
-            pool.run([this](int tid) {
-                runExchangePhase(y_arg_, 0, tid, false);
-            });
-        }
-    } else if (mode_ == ExchangeMode::kOverlapped) {
-        // One outer fork/join: every shard's inner pool runs both
-        // phases; publishes cross shard boundaries through the same
-        // release-store/acquire-spin protocol as the flat engine (all
-        // shards are concurrently live inside the single dispatch).
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int tid) {
-                    runLocalPhase(x_arg_, s, tid,
-                                  /*publish_early=*/true);
-                    runExchangePhase(y_arg_, s, tid,
-                                     /*wait_for_publish=*/true);
-                });
+    const auto run = [&](const auto &fin) {
+        if ((phases_arg_ & kLocalPhase) != 0)
+            runLocalPhase(s, tid, fin);
+        if ((phases_arg_ & kExchangePhase) != 0)
+            runExchangePhase(s, tid, fin);
+    };
+    if (su_arg_ == nullptr) {
+        // Store: copy finished rows into the global y.
+        double *y = y_arg_;
+        run([this, y](int i, std::int64_t v0, std::int64_t g0,
+                      std::int64_t len) {
+            const double *yl =
+                y_local_[static_cast<std::size_t>(i)].data() + 3 * v0;
+            std::copy(yl, yl + 3 * len, y + 3 * g0);
         });
     } else {
-        // Two outer fork/joins: the OUTER join is the global BSP
-        // barrier — a shard-local join would let a shard read peer
-        // buffers other shards have not written yet.
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int tid) {
-                    runLocalPhase(x_arg_, s, tid, false);
-                });
-        });
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int tid) {
-                    runExchangePhase(y_arg_, s, tid, false);
-                });
+        // Step: advance finished rows' DOFs and fold them into the PE's
+        // partials, in the PE's fixed row order (interior ascending,
+        // then owned boundary ascending).  x_local_ holds bitwise copies
+        // of su.u.
+        const sparse::StepUpdate &su = *su_arg_;
+        run([this, &su](int i, std::int64_t v0, std::int64_t g0,
+                        std::int64_t len) {
+            const std::size_t pe = static_cast<std::size_t>(i);
+            sparse::advanceAndFold(su, 3 * g0,
+                                   x_local_[pe].data() + 3 * v0,
+                                   y_local_[pe].data() + 3 * v0, 3 * len,
+                                   step_partials_[pe * kPartialsStride]);
         });
     }
-    x_arg_ = nullptr;
-    y_arg_ = nullptr;
+}
+
+void
+ParallelSmvp::dispatch() const
+{
+    telemetry::Collector *tele =
+        tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
+    const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
+
+    // One fork/join over the flat pool or the nested shard pools.
+    const auto fork_join = [this](int phases) {
+        phases_arg_ = phases;
+        if (num_shards_ == 1) {
+            shard_pools_[0]->run([this](int tid) { runWorker(0, tid); });
+        } else {
+            outer_pool_->run([this](int s) {
+                shard_pools_[static_cast<std::size_t>(s)]->run(
+                    [this, s](int tid) { runWorker(s, tid); });
+            });
+        }
+    };
+
+    ++epoch_;
+    if (mode_ == ExchangeMode::kOverlapped) {
+        // One fork/join: each worker publishes its boundary buffers,
+        // overlaps its interior rows with the peers' publishes, then
+        // spin-waits (with yield) only for buffers not yet ready.  All
+        // shards are live inside the one dispatch, so publishes cross
+        // shard boundaries through the same protocol.
+        fork_join(kLocalPhase | kExchangePhase);
+    } else {
+        // Two fork/joins: the join between them is the BSP barrier.
+        // With several shards it is the OUTER join — a shard-local join
+        // would let a shard read peer buffers other shards have not
+        // written yet.
+        fork_join(kLocalPhase);
+        fork_join(kExchangePhase);
+    }
 
     if (tele != nullptr) {
         const std::uint64_t t1 = tele->now();
@@ -796,6 +601,16 @@ ParallelSmvp::multiplyInto(const double *x, double *y) const
         tele->observe(0, telemetry::Hist::kSmvpNanos, t1 - t0);
         tele->recordSpan(0, telemetry::Span::kSmvp, -1, t0, t1);
     }
+}
+
+void
+ParallelSmvp::multiplyInto(const double *x, double *y) const
+{
+    x_arg_ = x;
+    y_arg_ = y;
+    dispatch();
+    x_arg_ = nullptr;
+    y_arg_ = nullptr;
 }
 
 void
@@ -828,57 +643,15 @@ ParallelSmvp::stepFused(const sparse::StepUpdate &su) const
                      su.f != nullptr && su.invMass != nullptr,
                  "fused step update has unbound field pointers");
 
-    telemetry::Collector *tele =
-        tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
-    const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
-
     const int p = problem_.numPes();
     for (int i = 0; i < p; ++i)
         step_partials_[static_cast<std::size_t>(i) * kPartialsStride] =
             sparse::StepPartials{};
 
+    x_arg_ = su.u;
     su_arg_ = &su;
-    ++epoch_;
-    if (num_shards_ == 1) {
-        WorkerPool &pool = *shard_pools_[0];
-        if (mode_ == ExchangeMode::kOverlapped) {
-            pool.run([this](int tid) {
-                runLocalPhaseFused(0, tid, /*publish_early=*/true);
-                runExchangePhaseFused(0, tid,
-                                      /*wait_for_publish=*/true);
-            });
-        } else {
-            pool.run([this](int tid) {
-                runLocalPhaseFused(0, tid, false);
-            });
-            pool.run([this](int tid) {
-                runExchangePhaseFused(0, tid, false);
-            });
-        }
-    } else if (mode_ == ExchangeMode::kOverlapped) {
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int tid) {
-                    runLocalPhaseFused(s, tid, /*publish_early=*/true);
-                    runExchangePhaseFused(s, tid,
-                                          /*wait_for_publish=*/true);
-                });
-        });
-    } else {
-        // Outer joins are the global barriers (see multiplyInto).
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int tid) {
-                    runLocalPhaseFused(s, tid, false);
-                });
-        });
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int tid) {
-                    runExchangePhaseFused(s, tid, false);
-                });
-        });
-    }
+    dispatch();
+    x_arg_ = nullptr;
     su_arg_ = nullptr;
 
     // Ascending-PE combine: the per-PE accumulation order is fixed by
@@ -888,13 +661,6 @@ ParallelSmvp::stepFused(const sparse::StepUpdate &su) const
     for (int i = 0; i < p; ++i)
         out.combine(
             step_partials_[static_cast<std::size_t>(i) * kPartialsStride]);
-
-    if (tele != nullptr) {
-        const std::uint64_t t1 = tele->now();
-        tele->add(0, telemetry::Counter::kSmvpCalls, 1);
-        tele->observe(0, telemetry::Hist::kSmvpNanos, t1 - t0);
-        tele->recordSpan(0, telemetry::Span::kSmvp, -1, t0, t1);
-    }
     return out;
 }
 

@@ -136,8 +136,9 @@ class ParallelSmvp
     /**
      * One fused central-difference time step (DESIGN.md §8): runs the
      * two-phase SMVP with su.u as x and applies `su` to each owned
-     * row's DOFs the moment that row's K u value is finalized —
-     * interior rows right after the local sweep, boundary rows right
+     * row's DOFs the moment that row's K u value is finalized — the
+     * same two points where multiplyInto() stores rows into y: interior
+     * rows right after each kernel batch, owned boundary rows right
      * after the ascending-peer exchange sum — instead of materializing
      * a global ku vector and updating it in a separate serial O(n)
      * pass.  Peak/energy reductions accumulate into per-PE partials
@@ -214,8 +215,11 @@ class ParallelSmvp
      * only to the collector's preallocated per-thread slots, so the
      * 0-allocs/step and bitwise-determinism contracts of DESIGN.md §8
      * are preserved (tested in test_telemetry.cc).  Setup-time only;
-     * pass nullptr to detach.  The collector must outlive the engine
-     * or be detached.
+     * pass nullptr to detach.  The detach reaches the outer pool and
+     * every shard pool: once setCollector(nullptr) returns, no engine
+     * or pool thread touches the old collector again, so it may be
+     * destroyed before the engine; otherwise the collector must
+     * outlive the engine.
      */
     void setCollector(telemetry::Collector *collector);
 
@@ -290,11 +294,17 @@ class ParallelSmvp
      * Arguments of the multiply/step in flight, stashed as members so
      * the pool dispatch lambdas capture only `this` (plus a shard
      * index; small enough for std::function's inline buffer — no
-     * per-step heap allocation).
+     * per-step heap allocation).  su_arg_ selects the row finalizer:
+     * null = store rows into y_arg_, else advance them through it.
      */
     mutable const double *x_arg_ = nullptr;
     mutable double *y_arg_ = nullptr;
     mutable const sparse::StepUpdate *su_arg_ = nullptr;
+
+    /** Phases the current fork/join runs (kLocalPhase | kExchangePhase). */
+    static constexpr int kLocalPhase = 1;
+    static constexpr int kExchangePhase = 2;
+    mutable int phases_arg_ = 0;
 
     /** Per-PE step partials, padded to a cache line (stride 4). */
     mutable std::vector<sparse::StepPartials> step_partials_;
@@ -330,20 +340,23 @@ class ParallelSmvp
     void initPeSlabs(int i);
 
     /**
-     * Record PE i's sliced-ELL slab counters (slice kernels executed,
-     * padding blocks streamed) into telemetry slot `slot`.  No-op when
-     * tele is null; preallocated-slot writes only.
+     * Run the stashed multiply or step: the one place that chooses flat
+     * vs sharded pools and barrier vs overlapped scheduling.
      */
-    void recordEllCounters(int pe, telemetry::Collector *tele,
-                           int slot) const;
+    void dispatch() const;
 
-    void runLocalPhase(const double *x, int s, int tid,
-                       bool publish_early) const;
-    void runExchangePhase(double *y, int s, int tid,
-                          bool wait_for_publish) const;
-    void runLocalPhaseFused(int s, int tid, bool publish_early) const;
-    void runExchangePhaseFused(int s, int tid,
-                               bool wait_for_publish) const;
+    /** Worker `tid` of shard `s`: phases_arg_, stashed finalizer. */
+    void runWorker(int s, int tid) const;
+
+    /**
+     * The phase pair, templated on the row finalizer: the local phase
+     * hands each finished interior batch to `fin`, the exchange phase
+     * the owned boundary rows once their peer sums are final.
+     */
+    template <class Finalize>
+    void runLocalPhase(int s, int tid, const Finalize &fin) const;
+    template <class Finalize>
+    void runExchangePhase(int s, int tid, const Finalize &fin) const;
 
     /**
      * Spin until exchange `peer_flat` publishes the current epoch,

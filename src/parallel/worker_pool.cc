@@ -81,18 +81,21 @@ WorkerPool::workerLoop(int tid)
         const std::function<void(int)> *task;
         {
             std::unique_lock<std::mutex> lock(mu_);
-            // Time parked between dispatches (wake latency + idle) —
-            // the ISSUE's spin-wait accounting.  tele_ is read under
-            // the same mutex setCollector takes.
+            // Time parked between dispatches (wake latency + idle),
+            // recorded as kWorkerWaitNanos.  tele_ is read under the
+            // mutex setCollector takes, before the wait and again after
+            // waking: the wait is recorded only if the same collector is
+            // still attached, so a worker parked across a detach (and
+            // woken by ~WorkerPool) never touches the old collector.
             telemetry::Collector *tele =
                 tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
-            const int slot = worker_base_ + tid;
             const std::uint64_t wait0 =
                 tele != nullptr ? tele->now() : 0;
             cv_start_.wait(lock,
                            [&] { return stop_ || epoch_ != seen; });
-            if (tele != nullptr)
-                tele->add(slot, telemetry::Counter::kWorkerWaitNanos,
+            if (tele != nullptr && tele == tele_)
+                tele->add(worker_base_ + tid,
+                          telemetry::Counter::kWorkerWaitNanos,
                           tele->now() - wait0);
             if (stop_)
                 return;

@@ -108,8 +108,10 @@ class WorkerPool
      * one collector without write collisions (DESIGN.md §13): the
      * hierarchical engine gives every pool a disjoint slot range.
      * Setup-time only — must not be called while a run is in flight;
-     * pass nullptr to detach.  The collector must outlive the pool or
-     * be detached first.
+     * pass nullptr to detach.  Once setCollector(nullptr) returns, no
+     * worker touches the old collector again (parked workers included),
+     * so it may be destroyed before the pool; otherwise the collector
+     * must outlive the pool.
      */
     void setCollector(telemetry::Collector *collector,
                       int control_slot = 0, int worker_base = 1);

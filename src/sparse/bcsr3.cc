@@ -120,8 +120,7 @@ applyStepUpdateRange(const StepUpdate &su, const double *ku,
                      std::int64_t begin, std::int64_t end,
                      StepPartials &out)
 {
-    for (std::int64_t i = begin; i < end; ++i)
-        out.accumulate(su, i, su.apply(i, ku[i]));
+    advanceAndFold(su, begin, su.u + begin, ku + begin, end - begin, out);
 }
 
 void
@@ -152,10 +151,8 @@ Bcsr3Matrix::multiplyRowsFusedStep(const StepUpdate &su,
     for (std::int64_t br = row_begin; br < row_end; ++br) {
         const RowAccum acc = blockRowProduct(
             xadj_.data(), block_cols_.data(), values_.data(), su.u, br);
-        const std::int64_t i = 3 * br;
-        out.accumulate(su, i + 0, su.apply(i + 0, acc.a0));
-        out.accumulate(su, i + 1, su.apply(i + 1, acc.a1));
-        out.accumulate(su, i + 2, su.apply(i + 2, acc.a2));
+        const double ku[3] = {acc.a0, acc.a1, acc.a2};
+        advanceAndFold(su, 3 * br, su.u + 3 * br, ku, 3, out);
     }
 }
 

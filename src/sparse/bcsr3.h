@@ -33,8 +33,9 @@ using Block3 = std::array<double, 9>;
  * The SMVP kernels apply this update to a row's scalar DOFs the moment
  * that row's (K u)_i value is finalized — while it is still in cache —
  * instead of a separate serial O(n) pass over all vectors.  All paths
- * (the fused kernels and the unfused reference triad) funnel through
- * apply(), so fused and unfused runs produce bitwise-identical u.
+ * (the fused kernels, the engine's step finalizer, and the unfused
+ * reference triad) funnel through advanceAndFold(), so fused and
+ * unfused runs produce bitwise-identical u.
  */
 struct StepUpdate
 {
@@ -47,17 +48,9 @@ struct StepUpdate
     double prevCoeff = 1.0;          ///< 1 - a0 dt / 2
     double denom = 1.0;              ///< 1 + a0 dt / 2
 
-    /** Update scalar DOF i given its freshly finalized (K u)_i value. */
-    double
-    apply(std::int64_t i, double ku_i) const
-    {
-        return apply(i, u[i], ku_i);
-    }
-
     /**
-     * Same update with u_i supplied by the caller — a bitwise copy of
-     * u[i] already at hand (the distributed engine's gathered local x
-     * vector).  Identical arithmetic, one fewer indexed load.
+     * Update scalar DOF i given u_i — a bitwise copy of u[i] — and its
+     * freshly finalized (K u)_i value; writes and returns u_{n+1}[i].
      */
     double
     apply(std::int64_t i, double u_i, double ku_i) const
@@ -83,14 +76,7 @@ struct StepPartials
     double peak = 0.0;   ///< max |u_{n+1}| over the range
     double energy = 0.0; ///< kinetic-energy partial sum over the range
 
-    /** Fold in DOF i after apply() returned `next`. */
-    void
-    accumulate(const StepUpdate &su, std::int64_t i, double next)
-    {
-        accumulate(su, i, su.u[i], next);
-    }
-
-    /** Same fold with u_i supplied by the caller (see apply). */
+    /** Fold in DOF i (u_i as passed to apply) after apply returned next. */
     void
     accumulate(const StepUpdate &su, std::int64_t i, double u_i,
                double next)
@@ -108,6 +94,24 @@ struct StepPartials
         energy += other.energy;
     }
 };
+
+/**
+ * The step triad, written once: advance the n scalar DOFs
+ * [i0, i0 + n) through `su` in ascending order, given a bitwise copy
+ * u[0, n) of su.u[i0, i0 + n) and their finalized (K u) values
+ * ku[0, n), and fold each into `out`.  Every fused kernel, the
+ * distributed engine's step finalizer and the unfused reference
+ * (applyStepUpdateRange) advance DOFs only through here.
+ */
+inline void
+advanceAndFold(const StepUpdate &su, std::int64_t i0, const double *u,
+               const double *ku, std::int64_t n, StepPartials &out)
+{
+    for (std::int64_t k = 0; k < n; ++k) {
+        const double u_i = u[k];
+        out.accumulate(su, i0 + k, u_i, su.apply(i0 + k, u_i, ku[k]));
+    }
+}
 
 /**
  * The unfused reference triad: apply the update to scalar DOFs

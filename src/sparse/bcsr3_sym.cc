@@ -115,10 +115,7 @@ SymBcsr3Matrix::multiplyFusedStep(const StepUpdate &su, double *y) const
                            values_.data(), su.u, y, br);
         // Ascending order makes y[3 br .. 3 br + 2] final here: every
         // remaining scatter targets a block column > br.
-        const std::int64_t i = 3 * br;
-        out.accumulate(su, i + 0, su.apply(i + 0, y[i + 0]));
-        out.accumulate(su, i + 1, su.apply(i + 1, y[i + 1]));
-        out.accumulate(su, i + 2, su.apply(i + 2, y[i + 2]));
+        advanceAndFold(su, 3 * br, su.u + 3 * br, y + 3 * br, 3, out);
     }
     return out;
 }

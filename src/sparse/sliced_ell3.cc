@@ -319,18 +319,13 @@ SlicedEll3Matrix::multiplyFusedStep(const StepUpdate &su, double *y) const
     StepPartials out;
     for (std::int64_t s = 0; s < num_slices_; ++s) {
         multiplySlices(su.u, y, s, s + 1);
-        // Identity map: lane l of slice s is block row s*S + l, so the
-        // ascending lane order below is ascending DOF order — the same
-        // order as the unfused applyStepUpdateRange reference.
-        for (std::int64_t l = 0; l < slice_height_; ++l) {
-            const std::int64_t r = lane_rows_[s * slice_height_ + l];
-            if (r < 0)
-                break;
-            const std::int64_t i = 3 * r;
-            out.accumulate(su, i + 0, su.apply(i + 0, y[i + 0]));
-            out.accumulate(su, i + 1, su.apply(i + 1, y[i + 1]));
-            out.accumulate(su, i + 2, su.apply(i + 2, y[i + 2]));
-        }
+        // Identity map: the slice's live lanes are block rows
+        // [s*S, s*S + lanes), so the triad runs in ascending DOF order —
+        // the same order as the unfused applyStepUpdateRange reference.
+        const std::int64_t i = 3 * s * slice_height_;
+        const std::int64_t lanes =
+            std::min(slice_height_, covered_rows_ - s * slice_height_);
+        advanceAndFold(su, i, su.u + i, y + i, 3 * lanes, out);
     }
     return out;
 }

@@ -465,8 +465,9 @@ TEST(ScenarioService, RepeatedSpecsShareThePrefix)
             fingerprint0 = r.engineFingerprint;
         // Same prefix, different sources: engine fingerprints differ
         // only through the config, which includes the wavelet.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_NE(r.engineFingerprint, fingerprint0);
+        }
     }
     svc.shutdown();
     const PrefixCache::Stats s = svc.cacheStats();

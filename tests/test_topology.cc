@@ -4,12 +4,17 @@
  * parsing, spec parsing/validation/detection, the engine's topology
  * normalization (shard clamping, thread capping), and the bitwise
  * hierarchical == flat contract across shard counts, exchange modes,
- * the fused step, and advisory pin failures.
+ * the fused step, and advisory pin failures; and that a collector
+ * detach reaches every nested pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -18,6 +23,7 @@
 #include "parallel/topology.h"
 #include "partition/geometric_bisection.h"
 #include "sparse/assembly.h"
+#include "telemetry/collector.h"
 
 namespace
 {
@@ -246,6 +252,50 @@ TEST(HierarchicalEngine, TrafficClassificationIsConsistent)
     EXPECT_EQ(hier.remoteExchangeBytes() + hier.localExchangeBytes(),
               flat.remoteExchangeBytes() + flat.localExchangeBytes());
     EXPECT_GE(hier.shardImbalance(), 0.0);
+}
+
+TEST(HierarchicalEngine, DetachedCollectorIsNeverTouchedAgain)
+{
+    // setCollector(nullptr) must reach the outer pool and every shard
+    // pool: once it returns, tearing the engine down — which wakes
+    // every parked worker of every pool — records nothing more.
+    namespace telemetry = quake::telemetry;
+    HierarchyFixture f;
+    const std::size_t n = f.x.size();
+    std::vector<double> up(n, 0.0), inv_mass(n, 1.0), force(n, 0.0);
+    quake::sparse::StepUpdate su;
+    su.u = f.x.data();
+    su.up = up.data();
+    su.f = force.data();
+    su.invMass = inv_mass.data();
+    su.dt = 1e-3;
+    su.dt2 = su.dt * su.dt;
+
+    telemetry::Collector collector;
+    auto engine =
+        std::make_unique<ParallelSmvp>(f.problem, Topology::uniform(2, 2));
+    ASSERT_EQ(engine->numShards(), 2);
+    ASSERT_EQ(engine->threadsPerShard(), 2);
+    engine->setCollector(&collector);
+    engine->stepFused(su);
+    // Let every worker park again with the collector still attached.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    engine->setCollector(nullptr);
+
+    const auto totals = [&collector] {
+        std::vector<std::uint64_t> t;
+        for (int c = 0; c < static_cast<int>(telemetry::Counter::kCount);
+             ++c)
+            t.push_back(collector.counterTotal(
+                static_cast<telemetry::Counter>(c)));
+        return t;
+    };
+    const std::vector<std::uint64_t> detached = totals();
+    EXPECT_EQ(detached[static_cast<std::size_t>(
+                  telemetry::Counter::kSmvpCalls)],
+              1u);
+    engine.reset();
+    EXPECT_EQ(totals(), detached);
 }
 
 TEST(HierarchicalEngine, PinnedEngineDestructsCleanlyAfterUse)

@@ -4,13 +4,16 @@
  * fork/join, the pool is reusable across many epochs (the engine runs
  * thousands of timesteps against one pool), the size-1 pool runs
  * inline without spawning threads, hardwareThreads() respects the
- * process affinity mask, and advisory pinning counts failures instead
- * of aborting (DESIGN.md §13).
+ * process affinity mask, advisory pinning counts failures instead
+ * of aborting (DESIGN.md §13), and no worker touches a collector after
+ * it is detached.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 
 #include "parallel/topology.h"
 #include "parallel/worker_pool.h"
+#include "telemetry/collector.h"
 
 namespace
 {
@@ -165,6 +169,29 @@ TEST(WorkerPool, PinnedPoolDestructsCleanly)
         used.run([&](int) { total++; });
         EXPECT_EQ(total.load(), 3);
     }
+}
+
+TEST(WorkerPool, DetachedCollectorIsNeverTouchedAgain)
+{
+    // Workers park on the condition variable between dispatches, and
+    // ~WorkerPool wakes them to stop.  A worker parked while the
+    // collector was attached must not record its final wait into that
+    // collector once setCollector(nullptr) has returned: the caller may
+    // already have destroyed it.
+    quake::telemetry::Collector collector;
+    auto pool = std::make_unique<WorkerPool>(2);
+    pool->setCollector(&collector);
+    pool->run([](int) {});
+    // Let both workers park again with the collector still attached.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool->setCollector(nullptr);
+
+    const std::uint64_t waited = collector.counterTotal(
+        quake::telemetry::Counter::kWorkerWaitNanos);
+    pool.reset();
+    EXPECT_EQ(collector.counterTotal(
+                  quake::telemetry::Counter::kWorkerWaitNanos),
+              waited);
 }
 
 TEST(WorkerPool, JoinIsABarrier)
