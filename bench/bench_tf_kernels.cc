@@ -4,7 +4,9 @@
  * SMVP, with google-benchmark.  The paper measures 30 ns on the Cray
  * T3D and 14 ns on the T3E and stresses that sustained rates sit far
  * below peak (12% on the T3E); this harness produces the same
- * measurement for this host across the kernel formats and mesh classes.
+ * measurement for this host across the four storage formats (one
+ * single-threaded kernel each, as T_f is one PE's rate) and the mesh
+ * classes.
  *
  * Besides the usual google-benchmark console output, the run writes
  * BENCH_tf_kernels.json (see bench_util.h) so the measured T_f values
@@ -83,29 +85,20 @@ bytesPerSmvp(const spark::KernelSuite &suite, spark::Kernel kernel)
         return 12.0 * static_cast<double>(m.nnz()) + // 8B value + 4B col
                8.0 * (dof + 1) + xy_stream;          // xadj
       }
-      case spark::Kernel::kBcsr3:
-      case spark::Kernel::kThreaded: {
+      case spark::Kernel::kBcsr3: {
         const sparse::Bcsr3Matrix &m = suite.bcsr();
         // 72B of values + 4B block column per 3x3 block.
         return 76.0 * static_cast<double>(m.numBlocks()) +
                8.0 * static_cast<double>(m.numBlockRows() + 1) +
                xy_stream;
       }
-      case spark::Kernel::kSym: {
-        const sparse::SymCsrMatrix &m = suite.sym();
-        return 12.0 * static_cast<double>(m.storedEntries()) +
-               8.0 * (dof + 1) + xy_stream + y_rmw;
-      }
-      case spark::Kernel::kSymBcsr3:
-      case spark::Kernel::kSymBcsr3Mt:
-      case spark::Kernel::kSymBcsr3Simd: {
+      case spark::Kernel::kSymBcsr3: {
         const sparse::SymBcsr3Matrix &m = suite.symBcsr();
         return 76.0 * static_cast<double>(m.storedBlocks()) +
                8.0 * static_cast<double>(m.numBlockRows() + 1) +
                xy_stream + y_rmw;
       }
-      case spark::Kernel::kSlicedEll3:
-      case spark::Kernel::kSlicedEll3Mt: {
+      case spark::Kernel::kSlicedEll3: {
         const sparse::SlicedEll3Matrix &m = suite.slicedEll();
         // Every stored slot (structural + padding) is streamed: 72B of
         // element planes + 4B column.  Lane row map and slice bases
@@ -123,13 +116,9 @@ bytesPerSmvp(const spark::KernelSuite &suite, spark::Kernel kernel)
 double
 paddingRatioOf(const spark::KernelSuite &suite, spark::Kernel kernel)
 {
-    switch (kernel) {
-      case spark::Kernel::kSlicedEll3:
-      case spark::Kernel::kSlicedEll3Mt:
-        return suite.slicedEll().paddingRatio();
-      default:
-        return 1.0;
-    }
+    return kernel == spark::Kernel::kSlicedEll3
+               ? suite.slicedEll().paddingRatio()
+               : 1.0;
 }
 
 void
@@ -147,33 +136,7 @@ runKernelBench(benchmark::State &state, const std::string &label,
     double seconds = 0.0;
     for (auto _ : state) {
         const auto t0 = std::chrono::steady_clock::now();
-        switch (kernel) {
-          case spark::Kernel::kCsr:
-            sparse::smvpCsr(suite.csr(), x.data(), y.data());
-            break;
-          case spark::Kernel::kBcsr3:
-            sparse::smvpBcsr3(suite.bcsr(), x.data(), y.data());
-            break;
-          case spark::Kernel::kSym:
-            sparse::smvpSym(suite.sym(), x.data(), y.data());
-            break;
-          case spark::Kernel::kSymBcsr3:
-            suite.symBcsr().multiply(x.data(), y.data());
-            break;
-          case spark::Kernel::kSymBcsr3Simd:
-            suite.symBcsr().multiplySimd(x.data(), y.data());
-            break;
-          case spark::Kernel::kSlicedEll3:
-            suite.slicedEll().multiply(x.data(), y.data());
-            break;
-          case spark::Kernel::kThreaded:
-          case spark::Kernel::kSymBcsr3Mt:
-          case spark::Kernel::kSlicedEll3Mt:
-            // Pool-backed kernels go through the suite (which owns the
-            // persistent worker pool and the padded scratch slabs).
-            y = suite.run(kernel, x);
-            break;
-        }
+        suite.runInto(kernel, x.data(), y.data());
         benchmark::DoNotOptimize(y.data());
         benchmark::ClobberMemory();
         seconds +=
@@ -231,25 +194,16 @@ runKernelBench(benchmark::State &state, const std::string &label,
 
 QUAKE_TF_BENCH(sf20_csr, kSf20, kCsr);
 QUAKE_TF_BENCH(sf20_bcsr3, kSf20, kBcsr3);
-QUAKE_TF_BENCH(sf20_sym, kSf20, kSym);
 QUAKE_TF_BENCH(sf20_bcsr3sym, kSf20, kSymBcsr3);
-QUAKE_TF_BENCH(sf20_bcsr3sym_simd, kSf20, kSymBcsr3Simd);
 QUAKE_TF_BENCH(sf20_ell3, kSf20, kSlicedEll3);
 QUAKE_TF_BENCH(sf10_csr, kSf10, kCsr);
 QUAKE_TF_BENCH(sf10_bcsr3, kSf10, kBcsr3);
-QUAKE_TF_BENCH(sf10_sym, kSf10, kSym);
 QUAKE_TF_BENCH(sf10_bcsr3sym, kSf10, kSymBcsr3);
-QUAKE_TF_BENCH(sf10_bcsr3sym_mt, kSf10, kSymBcsr3Mt);
-QUAKE_TF_BENCH(sf10_bcsr3sym_simd, kSf10, kSymBcsr3Simd);
 QUAKE_TF_BENCH(sf10_ell3, kSf10, kSlicedEll3);
-QUAKE_TF_BENCH(sf10_ell3_mt, kSf10, kSlicedEll3Mt);
 QUAKE_TF_BENCH(sf5_csr, kSf5, kCsr);
 QUAKE_TF_BENCH(sf5_bcsr3, kSf5, kBcsr3);
-QUAKE_TF_BENCH(sf5_sym, kSf5, kSym);
 QUAKE_TF_BENCH(sf5_bcsr3sym, kSf5, kSymBcsr3);
-QUAKE_TF_BENCH(sf5_bcsr3sym_simd, kSf5, kSymBcsr3Simd);
 QUAKE_TF_BENCH(sf5_ell3, kSf5, kSlicedEll3);
-QUAKE_TF_BENCH(sf5_ell3_mt, kSf5, kSlicedEll3Mt);
 
 namespace
 {
@@ -287,7 +241,7 @@ printRooflineSummary()
                     r.kernel.c_str(), r.tfNs, bpf, gbps, pad);
     }
 
-    std::printf("\nSliced-ELL dispatch: %s\n",
+    std::printf("\nSIMD dispatch (sliced-ELL and symmetric BCSR3): %s\n",
                 sparse::SlicedEll3Matrix::activeKernelName());
     std::printf("Requirement grid from best measured T_f (%s, %.3f "
                 "ns/flop):\n",

@@ -1,8 +1,9 @@
 /**
  * @file
  * Spark98 revisited: measure the sustained local-SMVP rate T_f^-1 on
- * this host for every kernel variant, the way §3.1 measured 30 ns on
- * the Cray T3D and 14 ns on the T3E.
+ * this host for each storage format's single-threaded kernel (one PE's
+ * rate, as Eq. (1) uses it), the way §3.1 measured 30 ns on the Cray
+ * T3D and 14 ns on the T3E.
  *
  * Usage: spark98 [--mesh sf20|sf10|sf5] [--reps N]
  */

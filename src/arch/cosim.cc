@@ -228,6 +228,9 @@ runCosim(const sparse::Bcsr3Matrix &matrix,
     validateOptions(options);
     QUAKE_EXPECT(options.numPes == config.numPes,
                  "cosim PE count must match hierarchy PE count");
+    QUAKE_EXPECT(matrix.numBlocks() > 0,
+                 "cosim needs a nonempty matrix: an empty matrix has no "
+                 "flops and no T_f");
 
     CosimResult r;
     r.options = options;

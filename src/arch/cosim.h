@@ -134,7 +134,11 @@ std::vector<PeTrace> buildCosimTraces(const sparse::Bcsr3Matrix &matrix,
 MesiStats replayTraces(const std::vector<PeTrace> &traces,
                        const MesiHierarchyConfig &config, int chunk_refs);
 
-/** buildCosimTraces + replayTraces + the derived T_f numbers. */
+/**
+ * buildCosimTraces + replayTraces + the derived T_f numbers.  Throws
+ * FatalError on a matrix with no stored blocks: it has no flops, so
+ * there is no T_f to derive.
+ */
 CosimResult runCosim(const sparse::Bcsr3Matrix &matrix,
                      const MesiHierarchyConfig &config,
                      const CosimOptions &options);

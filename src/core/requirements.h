@@ -40,7 +40,8 @@ std::vector<RequirementRow> requirementSweep(
 
 /**
  * An operating-point grid pinned to a host-measured per-flop time
- * (the SMVP autotuner's winner) instead of a datasheet MFLOPS
+ * (one PE's local SMVP: the single-threaded winner of
+ * spark::KernelSuite::autotune) instead of a datasheet MFLOPS
  * assumption, one point per target efficiency.  This is how the
  * Figure 9/10 requirement targets are derived from the kernel that
  * actually runs, per §3.1's insistence that T_f is measured.

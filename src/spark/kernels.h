@@ -1,56 +1,52 @@
 /**
  * @file
  * A Spark98-style SMVP kernel suite (paper postscript, ref [14]): the
- * same stiffness matrix in several storage formats with a measurement
- * harness for the sustained per-flop time T_f.  The paper's §3.1 point
- * is that T_f is a *measured*, application-specific property (30 ns on
- * the T3D, 14 ns on the T3E — ~12% of peak); this suite is how such
- * numbers are obtained on any host.  An autotuner measures every
- * variant on the actual assembled matrix and reports the fastest, so
- * the §4 requirement projections can be driven by the tuned kernel
- * rather than a scalar baseline.
+ * same stiffness matrix in four storage formats, one single-threaded
+ * kernel each, with a measurement harness for the sustained per-flop
+ * time T_f.  The paper's §3.1 point is that T_f is a *measured*,
+ * application-specific property of one PE's local SMVP (30 ns on the
+ * T3D, 14 ns on the T3E — ~12% of peak), and Eq. (1) consumes it per
+ * PE; this suite is how such numbers are obtained on any host.  An
+ * autotuner measures every format on the actual assembled matrix and
+ * reports the fastest, so the §4 requirement projections are driven by
+ * the best serial kernel rather than a scalar baseline.  The threaded
+ * SMVP that actually runs is parallel::ParallelSmvp.
  */
 
 #ifndef QUAKE98_SPARK_KERNELS_H_
 #define QUAKE98_SPARK_KERNELS_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mesh/soil_model.h"
 #include "mesh/tet_mesh.h"
 #include "parallel/worker_pool.h"
+#include "sparse/bcsr3.h"
 #include "sparse/bcsr3_sym.h"
+#include "sparse/csr.h"
 #include "sparse/sliced_ell3.h"
-#include "sparse/smvp.h"
 
 namespace quake::spark
 {
 
-/** The kernel variants in the suite. */
+/** The kernels in the suite: one single-threaded kernel per format. */
 enum class Kernel
 {
-    kCsr,       ///< scalar CSR ("smv")
-    kBcsr3,     ///< 3x3 block CSR ("smvb") — the natural Quake layout
-    kSym,       ///< scalar symmetric half storage ("smvs")
-    kThreaded,  ///< row-partitioned shared-memory BCSR ("smvt")
-    kSymBcsr3,  ///< register-blocked symmetric 3x3 BCSR
-    kSymBcsr3Mt, ///< threaded symmetric BCSR3, padded accumulators
-    kSlicedEll3,   ///< sliced-ELLPACK 3x3, SIMD-dispatched (DESIGN §12)
-    kSlicedEll3Mt, ///< slice-partitioned threaded sliced-ELL
-    kSymBcsr3Simd, ///< symmetric BCSR3 with the vectorized scatter
+    kCsr,        ///< scalar CSR ("smv") — the reference oracle
+    kBcsr3,      ///< 3x3 block CSR ("smvb") — the natural Quake layout
+    kSymBcsr3,   ///< symmetric 3x3 BCSR, AVX2 or scalar scatter
+    kSlicedEll3, ///< sliced-ELLPACK 3x3, AVX2 or scalar (DESIGN §12)
 };
 
 /** Short name of a kernel. */
 std::string kernelName(Kernel kernel);
 
 /** All kernels, for iteration in tests and benches. */
-inline constexpr Kernel kAllKernels[] = {
-    Kernel::kCsr,        Kernel::kBcsr3,        Kernel::kSym,
-    Kernel::kThreaded,   Kernel::kSymBcsr3,     Kernel::kSymBcsr3Mt,
-    Kernel::kSlicedEll3, Kernel::kSlicedEll3Mt, Kernel::kSymBcsr3Simd};
+inline constexpr Kernel kAllKernels[] = {Kernel::kCsr, Kernel::kBcsr3,
+                                         Kernel::kSymBcsr3,
+                                         Kernel::kSlicedEll3};
 
 /** Measured sustained performance of one kernel. */
 struct KernelTiming
@@ -73,7 +69,7 @@ struct AutotuneResult
 {
     Kernel best = Kernel::kCsr;
     KernelTiming bestTiming;              ///< measured T_f of the winner
-    std::vector<AutotuneEntry> entries;   ///< every variant, in suite order
+    std::vector<AutotuneEntry> entries;   ///< every kernel, in suite order
 };
 
 /** The suite: one matrix, all formats, plus a timing harness. */
@@ -90,7 +86,14 @@ class KernelSuite
     /** Logical nonzeros (scalar entries of the full matrix). */
     std::int64_t nnz() const { return bcsr_.nnz(); }
 
-    /** y = K x with the chosen kernel. */
+    /**
+     * y = K x with the chosen kernel on raw arrays of dof() scalars; y
+     * is overwritten.  The one place that maps a Kernel to its format's
+     * multiply — run(), measure() and the benches all go through it.
+     */
+    void runInto(Kernel kernel, const double *x, double *y) const;
+
+    /** y = K x with the chosen kernel; the size of x is checked. */
     std::vector<double> run(Kernel kernel,
                             const std::vector<double> &x) const;
 
@@ -104,19 +107,15 @@ class KernelSuite
     KernelTiming measure(Kernel kernel, int repetitions) const;
 
     /**
-     * Measure every kernel variant on the assembled matrix and return
-     * the fastest.  Before any timed measurement, every kernel gets one
+     * Measure every kernel on the assembled matrix and return the
+     * fastest.  Before any timed measurement, every kernel gets one
      * discarded warm-up run, so the first-measured kernel does not pay
-     * the cold-cache/pool-spin-up cost the later ones skip.  Ties break
-     * by enum order, never by measurement order, so the verdict is
-     * independent of the order kernels are measured in.  This is how a
-     * host's honest T_f is obtained for the §4 requirement sweeps.
+     * the cold-cache cost the later ones skip.  Ties break by enum
+     * order, never by measurement order, so the verdict is independent
+     * of the order kernels are measured in.  This is how a host's
+     * honest per-PE T_f is obtained for the §4 requirement sweeps.
      */
     AutotuneResult autotune(int repetitions = 3) const;
-
-    /** Autotune an explicit subset/order of kernels (same warm-up). */
-    AutotuneResult autotune(const std::vector<Kernel> &kernels,
-                            int repetitions) const;
 
     /** Injectable measurement, for testing the selection logic. */
     using MeasureFn = std::function<KernelTiming(Kernel, int)>;
@@ -135,70 +134,15 @@ class KernelSuite
 
     const sparse::Bcsr3Matrix &bcsr() const { return bcsr_; }
     const sparse::CsrMatrix &csr() const { return csr_; }
-    const sparse::SymCsrMatrix &sym() const { return sym_; }
     const sparse::SymBcsr3Matrix &symBcsr() const { return sym_bcsr_; }
     const sparse::SlicedEll3Matrix &slicedEll() const { return ell_; }
 
-    /**
-     * Worker threads for the threaded kernels (default: hardware).
-     * Setting a count discards the suite's persistent worker pool; the
-     * next threaded multiply creates one of the new size.
-     */
-    void setThreads(int num_threads);
-    int threads() const { return threads_; }
-
   private:
-    parallel::WorkerPool &poolFor() const;
-
     sparse::Bcsr3Matrix bcsr_;
     sparse::CsrMatrix csr_;
-    sparse::SymCsrMatrix sym_;
     sparse::SymBcsr3Matrix sym_bcsr_;
     sparse::SlicedEll3Matrix ell_;
-    int threads_ = 0; ///< 0 = hardware concurrency
-
-    // Persistent pool + padded accumulator slab, created on first
-    // threaded multiply and reused across calls (the whole point of the
-    // engine work: no per-multiply thread spawns, no per-multiply
-    // allocation).  Mutable so run()/measure() stay const.
-    mutable std::unique_ptr<parallel::WorkerPool> pool_;
-    mutable std::vector<double> sym_scratch_;
 };
-
-/**
- * Row-partitioned shared-memory SMVP (the Spark98 "smvt" analogue):
- * block rows are split into nnz-balanced chunks, one pool worker per
- * chunk.  No reduction is needed — row partitioning writes disjoint
- * output ranges, so the result is bitwise identical to the sequential
- * BCSR3 kernel.
- */
-void smvpThreaded(const sparse::Bcsr3Matrix &a, const double *x, double *y,
-                  parallel::WorkerPool &pool);
-
-/**
- * Threaded symmetric BCSR3 SMVP.  The symmetric scatter writes y[col]
- * for off-diagonal blocks, so threads cannot share y: each worker
- * scatters into a private accumulator slab padded to a cache-line
- * multiple (no false sharing), and a second fork/join reduces the slabs
- * in ascending worker order — deterministic regardless of scheduling.
- *
- * @param scratch Persistent slab storage; resized (and zeroed) inside.
- */
-void smvpSymBcsr3Threaded(const sparse::SymBcsr3Matrix &a, const double *x,
-                          double *y, parallel::WorkerPool &pool,
-                          std::vector<double> &scratch);
-
-/**
- * Slice-partitioned threaded sliced-ELL SMVP: slices are split into
- * stored-block-balanced contiguous ranges, one pool worker per range.
- * Slices own disjoint lanes (and under the identity row map, disjoint y
- * rows), and each lane's accumulation order is fixed by the layout, so
- * the result is bitwise identical to the sequential sliced-ELL kernel
- * at every pool size.
- */
-void smvpSlicedEll3Threaded(const sparse::SlicedEll3Matrix &a,
-                            const double *x, double *y,
-                            parallel::WorkerPool &pool);
 
 /**
  * Pooled fused central-difference step over a full BCSR3 matrix (the

@@ -112,11 +112,12 @@ void traceBcsr3Rows(const Bcsr3Matrix &m, const TraceLayout &layout,
                     AccessTrace &out);
 
 /**
- * Append the reference stream of SymBcsr3Matrix::multiplyRowsScatter:
- * each off-diagonal block additionally read-modify-writes y[col] —
- * the transposed-scatter stream whose targets lie in OTHER rows'
- * (and, partitioned, other PEs') output.  Flops: 18 per stored block
- * plus 18 per off-diagonal block (each does double duty).
+ * Append the reference stream of the portable scalar scatter behind
+ * SymBcsr3Matrix::multiply, restricted to block rows [row_begin,
+ * row_end): each off-diagonal block additionally read-modify-writes
+ * y[col] — the transposed-scatter stream whose targets lie in OTHER
+ * rows' (and, partitioned, other PEs') output.  Flops: 18 per stored
+ * block plus 18 per off-diagonal block (each does double duty).
  */
 void traceSymBcsr3Rows(const SymBcsr3Matrix &m, const TraceLayout &layout,
                        std::int64_t row_begin, std::int64_t row_end,

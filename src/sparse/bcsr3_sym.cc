@@ -53,10 +53,9 @@ namespace
 {
 
 /**
- * One block row of the symmetric sweep: accumulate the row's own
+ * One block row of the portable scalar sweep: accumulate the row's own
  * products into y[row] and scatter the transposed contributions into
- * y[col].  Shared by multiplyRowsScatter and the fused step so both
- * produce bitwise-identical y values.
+ * y[col].
  */
 inline void
 scatterOneBlockRow(const std::int64_t *__restrict__ xadj,
@@ -95,41 +94,7 @@ scatterOneBlockRow(const std::int64_t *__restrict__ xadj,
 } // namespace
 
 void
-SymBcsr3Matrix::multiplyRowsScatter(const double *x, double *y,
-                                    std::int64_t row_begin,
-                                    std::int64_t row_end) const
-{
-    for (std::int64_t br = row_begin; br < row_end; ++br)
-        scatterOneBlockRow(xadj_.data(), block_cols_.data(),
-                           values_.data(), x, y, br);
-}
-
-StepPartials
-SymBcsr3Matrix::multiplyFusedStep(const StepUpdate &su, double *y) const
-{
-    std::memset(y, 0,
-                static_cast<std::size_t>(numRows()) * sizeof(double));
-    StepPartials out;
-    for (std::int64_t br = 0; br < block_rows_; ++br) {
-        scatterOneBlockRow(xadj_.data(), block_cols_.data(),
-                           values_.data(), su.u, y, br);
-        // Ascending order makes y[3 br .. 3 br + 2] final here: every
-        // remaining scatter targets a block column > br.
-        advanceAndFold(su, 3 * br, su.u + 3 * br, y + 3 * br, 3, out);
-    }
-    return out;
-}
-
-void
 SymBcsr3Matrix::multiply(const double *x, double *y) const
-{
-    std::memset(y, 0,
-                static_cast<std::size_t>(numRows()) * sizeof(double));
-    multiplyRowsScatter(x, y, 0, block_rows_);
-}
-
-void
-SymBcsr3Matrix::multiplySimd(const double *x, double *y) const
 {
     std::memset(y, 0,
                 static_cast<std::size_t>(numRows()) * sizeof(double));
@@ -142,7 +107,9 @@ SymBcsr3Matrix::multiplySimd(const double *x, double *y) const
         return;
     }
 #endif
-    multiplyRowsScatter(x, y, 0, block_rows_);
+    for (std::int64_t br = 0; br < block_rows_; ++br)
+        scatterOneBlockRow(xadj_.data(), block_cols_.data(),
+                           values_.data(), x, y, br);
 }
 
 std::vector<double>

@@ -1,13 +1,13 @@
 /**
  * @file
- * Symmetric 3x3-block CSR storage — the register-blocked analogue of
- * SymCsrMatrix.  The stiffness matrix K is symmetric (paper §2.2), so
- * only the upper block triangle (diagonal blocks included) is stored;
+ * Symmetric 3x3-block CSR storage.  The stiffness matrix K is symmetric
+ * (paper §2.2), so only the upper block triangle (diagonal blocks
+ * included) is stored — about half the blocks of the full BCSR3 form;
  * the SMVP visits each stored off-diagonal block once and applies both
- * the block (to y[row]) and its transpose (to y[col]).  Relative to
- * scalar symmetric CSR this replaces nine column indices with one and
- * turns the inner loop into unrolled 3x3 dense arithmetic — the layout
- * the paper's T_f measurements reward.
+ * the block (to y[row]) and its transpose (to y[col]).  One column
+ * index per nine values and unrolled 3x3 dense arithmetic make it the
+ * register-blocked half-traffic layout the paper's T_f measurements
+ * reward.
  */
 
 #ifndef QUAKE98_SPARSE_BCSR3_SYM_H_
@@ -55,46 +55,21 @@ class SymBcsr3Matrix
     /** The 3x3 block at storage slot k (row-major 9 doubles). */
     const double *blockAt(std::int64_t k) const { return &values_[9 * k]; }
 
-    /** y = A x on scalar vectors of length numRows(); y is overwritten. */
-    void multiply(const double *x, double *y) const;
-
     /**
-     * y = A x through the explicitly vectorized scatter kernel (AVX2
-     * FMAs for the transposed y[col] updates, vector row accumulators
-     * folded by a horizontal sum) when the build and host support it;
-     * falls back to the portable scalar scatter otherwise — so this is
-     * always safe to call.  The vector path reorders the summation, so
-     * its result matches multiply() within ULP tolerance, not bitwise;
-     * against itself it is deterministic (the dispatch is fixed per
-     * process).  Registered as spark::Kernel::kSymBcsr3Simd.
+     * y = A x on scalar vectors of length numRows(); y is overwritten.
+     * One ascending sweep over the block rows scatters each stored
+     * block into y[row] and its transpose into y[col].  The sweep runs
+     * the AVX2 scatter (vector FMAs, row accumulators folded by a
+     * horizontal sum) when the build and host support it, and the
+     * portable scalar scatter otherwise; the choice is made once per
+     * process, like SlicedEll3Matrix's.  The two differ in summation
+     * order, so they agree within ULP tolerance, not bitwise; within
+     * one process the result is bitwise deterministic.
      */
-    void multiplySimd(const double *x, double *y) const;
+    void multiply(const double *x, double *y) const;
 
     /** Convenience overload on vectors; sizes are checked. */
     std::vector<double> multiply(const std::vector<double> &x) const;
-
-    /**
-     * Scatter the contributions of block rows [row_begin, row_end) into
-     * y WITHOUT zeroing it first: y[row] accumulates the row sweep and
-     * y[col] the transposed scatter.  This is the building block of the
-     * threaded symmetric kernel, where each thread owns a private
-     * (cache-line padded) accumulator that is reduced afterwards.
-     */
-    void multiplyRowsScatter(const double *x, double *y,
-                             std::int64_t row_begin,
-                             std::int64_t row_end) const;
-
-    /**
-     * Fused time step: one ascending sweep over all block rows that
-     * computes y = A x (bitwise identical to multiply()) and applies
-     * `su` to each block row's DOFs the moment the row is final.  With
-     * upper-triangle storage a row's y value is complete right after
-     * its own sweep — every transposed scatter into y[r] comes from a
-     * row < r — so the update runs while the row is still in cache.
-     * `y` is the caller's ku scratch (length numRows()); the scatter
-     * needs it, but no second O(n) update pass ever reads it back.
-     */
-    StepPartials multiplyFusedStep(const StepUpdate &su, double *y) const;
 
   private:
     std::int64_t block_rows_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "sparse/bcsr3_sym.h"
 #include "sparse/sliced_ell3_kernels.h"
 
 namespace quake::sparse
@@ -190,71 +189,6 @@ SlicedEll3Matrix::fromBcsr3(const Bcsr3Matrix &a, std::int64_t slice_height)
     for (std::int64_t i = 0; i < a.numBlockRows(); ++i)
         rows[static_cast<std::size_t>(i)] = i;
     return fromBcsr3Rows(a, rows.data(), a.numBlockRows(), slice_height);
-}
-
-SlicedEll3Matrix
-SlicedEll3Matrix::fromSymBcsr3(const SymBcsr3Matrix &sym,
-                               std::int64_t slice_height)
-{
-    // Mirror the stored upper triangle into a full block pattern (lanes
-    // need whole rows), then convert.  Conversion-time only.
-    const std::int64_t n = sym.numBlockRows();
-    std::vector<std::int64_t> counts(static_cast<std::size_t>(n), 0);
-    for (std::int64_t br = 0; br < n; ++br) {
-        for (std::int64_t k = sym.xadj()[br]; k < sym.xadj()[br + 1];
-             ++k) {
-            const std::int32_t bc = sym.blockCols()[k];
-            ++counts[static_cast<std::size_t>(br)];
-            if (bc != br)
-                ++counts[static_cast<std::size_t>(bc)];
-        }
-    }
-    std::vector<std::int64_t> xadj(static_cast<std::size_t>(n) + 1, 0);
-    for (std::int64_t i = 0; i < n; ++i)
-        xadj[i + 1] = xadj[i] + counts[static_cast<std::size_t>(i)];
-    std::vector<std::int64_t> cursor(xadj.begin(), xadj.end() - 1);
-    std::vector<std::int32_t> cols(
-        static_cast<std::size_t>(xadj[static_cast<std::size_t>(n)]));
-    for (std::int64_t br = 0; br < n; ++br) {
-        for (std::int64_t k = sym.xadj()[br]; k < sym.xadj()[br + 1];
-             ++k) {
-            const std::int32_t bc = sym.blockCols()[k];
-            cols[static_cast<std::size_t>(
-                cursor[static_cast<std::size_t>(br)]++)] = bc;
-            if (bc != br)
-                cols[static_cast<std::size_t>(
-                    cursor[static_cast<std::size_t>(bc)]++)] =
-                    static_cast<std::int32_t>(br);
-        }
-    }
-    // Upper-triangle columns append in ascending order; the mirrored
-    // lower-triangle column br arrives at row bc in ascending br order
-    // too, but interleaved with the uppers — sort each row to restore
-    // the strictly-increasing invariant Bcsr3Matrix requires.
-    for (std::int64_t br = 0; br < n; ++br)
-        std::sort(cols.begin() + xadj[static_cast<std::size_t>(br)],
-                  cols.begin() + xadj[static_cast<std::size_t>(br) + 1]);
-
-    Bcsr3Matrix full(n, std::move(xadj), std::move(cols));
-    for (std::int64_t br = 0; br < n; ++br) {
-        for (std::int64_t k = sym.xadj()[br]; k < sym.xadj()[br + 1];
-             ++k) {
-            const std::int32_t bc = sym.blockCols()[k];
-            const double *b = sym.blockAt(k);
-            Block3 blk, blk_t;
-            for (int e = 0; e < 9; ++e)
-                blk[static_cast<std::size_t>(e)] = b[e];
-            full.addToBlock(br, bc, blk);
-            if (bc != br) {
-                for (int i = 0; i < 3; ++i)
-                    for (int j = 0; j < 3; ++j)
-                        blk_t[static_cast<std::size_t>(3 * i + j)] =
-                            b[3 * j + i];
-                full.addToBlock(bc, static_cast<std::int32_t>(br), blk_t);
-            }
-        }
-    }
-    return fromBcsr3(full, slice_height);
 }
 
 double

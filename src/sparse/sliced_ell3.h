@@ -31,8 +31,6 @@
 namespace quake::sparse
 {
 
-class SymBcsr3Matrix;
-
 /** Sparse matrix of 3x3 blocks in sliced-ELLPACK form. */
 class SlicedEll3Matrix
 {
@@ -63,14 +61,6 @@ class SlicedEll3Matrix
     static SlicedEll3Matrix fromBcsr3Rows(
         const Bcsr3Matrix &a, const std::int64_t *rows,
         std::int64_t num_rows,
-        std::int64_t slice_height = kDefaultSliceHeight);
-
-    /**
-     * Convert symmetric half storage by first mirroring it to a full
-     * block pattern (ELL lanes need whole rows).  Conversion-time only.
-     */
-    static SlicedEll3Matrix fromSymBcsr3(
-        const SymBcsr3Matrix &sym,
         std::int64_t slice_height = kDefaultSliceHeight);
 
     /** Block rows covered by lanes (the row-list length). */
@@ -109,7 +99,7 @@ class SlicedEll3Matrix
      * Slot base of each slice (size numSlices() + 1, in block slots):
      * slice s holds slots [slice_base_[s], slice_base_[s+1]), width
      * (slice_base_[s+1] - slice_base_[s]) / sliceHeight().  Exposed for
-     * slot-balanced slice partitioning in the threaded kernel.
+     * the address-stream emitter (access_trace.h).
      */
     const std::vector<std::int64_t> &sliceBases() const
     {
@@ -143,9 +133,9 @@ class SlicedEll3Matrix
 
     /**
      * y = A x restricted to slices [slice_begin, slice_end) — the
-     * building block of the threaded kernel and the fused step.  Slices
-     * own disjoint lanes, so concurrent calls on disjoint slice ranges
-     * write disjoint rows.
+     * building block of the distributed engine's per-slice batches and
+     * the fused step.  Slices own disjoint lanes, so concurrent calls on
+     * disjoint slice ranges write disjoint rows.
      */
     void multiplySlices(const double *x, double *y,
                         std::int64_t slice_begin,

@@ -51,11 +51,12 @@ void ellMultiplySlicesAvx2(const EllSliceView &v, const double *x,
 
 /**
  * AVX2 symmetric scatter over block rows [row_begin, row_end):
- * accumulates into y without zeroing (same contract as
- * SymBcsr3Matrix::multiplyRowsScatter), with vector FMAs for both the
- * row accumulators and the transposed y[col] scatter.  Summation order
- * differs from the scalar scatter (vector partials + horizontal sum),
- * so results match the scalar kernel only within ULP tolerance.
+ * accumulates into y without zeroing (the caller zeroes it, as
+ * SymBcsr3Matrix::multiply does before either scatter), with vector
+ * FMAs for both the row accumulators and the transposed y[col]
+ * scatter.  Summation order differs from the portable scalar scatter
+ * (vector partials + horizontal sum), so results match it only within
+ * ULP tolerance.
  */
 void symScatterRowsAvx2(const SymScatterView &v, const double *x,
                         double *y, std::int64_t row_begin,

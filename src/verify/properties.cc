@@ -145,8 +145,8 @@ struct StepFixture
 };
 
 // ---------------------------------------------------------------------------
-// Property: every kernel in the suite vs reference CSR, plus the
-// bitwise contracts of the threaded variants.
+// Property: every kernel in the suite vs reference CSR, and each one
+// bitwise reproducible call over call.
 // ---------------------------------------------------------------------------
 
 PropertyResult
@@ -154,7 +154,7 @@ propKernelDifferential(const TrialConfig &cfg)
 {
     InputGen gen(cfg.seed, cfg.size);
     GeneratedSystem sys = gen.randomSystem();
-    spark::KernelSuite suite(sys.mesh, *sys.model);
+    const spark::KernelSuite suite(sys.mesh, *sys.model);
     const std::vector<double> x = gen.randomVector(suite.dof());
     const std::vector<double> ref = suite.run(spark::Kernel::kCsr, x);
 
@@ -165,33 +165,18 @@ propKernelDifferential(const TrialConfig &cfg)
         if (!withinMixedTolerance(ref, y, kUlpBound, kRelEps, &why))
             return fail("kernel " + spark::kernelName(k) +
                         " vs CSR: " + why);
-    }
-
-    // kThreaded is row-partitioned over disjoint output ranges: bitwise
-    // identical to sequential BCSR3 at every thread count.
-    const std::vector<double> yb = suite.run(spark::Kernel::kBcsr3, x);
-    for (int t : cfg.threads)
-    {
-        suite.setThreads(t);
-        if (!bitwiseEqual(yb, suite.run(spark::Kernel::kThreaded, x)))
-            return fail("kThreaded != kBcsr3 bitwise at " +
-                        std::to_string(t) + " threads");
-        // The symmetric MT kernel reorders sums per thread count, but at
-        // a FIXED thread count it must be exactly deterministic.
-        const std::vector<double> y1 =
-            suite.run(spark::Kernel::kSymBcsr3Mt, x);
-        const std::vector<double> y2 =
-            suite.run(spark::Kernel::kSymBcsr3Mt, x);
-        if (!bitwiseEqual(y1, y2))
-            return fail("kSymBcsr3Mt not deterministic at " +
-                        std::to_string(t) + " threads");
+        // The SIMD dispatch is fixed per process, so a second call must
+        // reproduce the first bit for bit.
+        if (!bitwiseEqual(y, suite.run(k, x)))
+            return fail("kernel " + spark::kernelName(k) +
+                        " not bitwise deterministic call over call");
     }
     return ok();
 }
 
 // ---------------------------------------------------------------------------
-// Property: random SPD block matrices (no mesh in the loop) through
-// every storage path.
+// Property: random SPD block matrices (no mesh in the loop) through the
+// full and symmetric block storage paths.
 // ---------------------------------------------------------------------------
 
 PropertyResult
@@ -216,34 +201,12 @@ propSpdBlockDifferential(const TrialConfig &cfg)
     const std::vector<double> ys = s.multiply(x);
     if (!withinMixedTolerance(ref, ys, kUlpBound, kRelEps, &why))
         return fail("sym bcsr3 vs csr: " + why);
-
-    for (int t : cfg.threads)
-    {
-        parallel::WorkerPool pool(t);
-        std::vector<double> y(static_cast<std::size_t>(a.numRows()));
-        spark::smvpThreaded(a, x.data(), y.data(), pool);
-        if (!bitwiseEqual(yb, y))
-            return fail("smvpThreaded != bcsr3 bitwise at " +
-                        std::to_string(t) + " threads");
-
-        std::vector<double> scratch;
-        std::vector<double> y1(static_cast<std::size_t>(a.numRows()));
-        std::vector<double> y2(static_cast<std::size_t>(a.numRows()));
-        spark::smvpSymBcsr3Threaded(s, x.data(), y1.data(), pool, scratch);
-        spark::smvpSymBcsr3Threaded(s, x.data(), y2.data(), pool, scratch);
-        if (!bitwiseEqual(y1, y2))
-            return fail("smvpSymBcsr3Threaded not deterministic at " +
-                        std::to_string(t) + " threads");
-        if (!withinMixedTolerance(ref, y1, kUlpBound, kRelEps, &why))
-            return fail("smvpSymBcsr3Threaded vs csr at " +
-                        std::to_string(t) + " threads: " + why);
-    }
     return ok();
 }
 
 // ---------------------------------------------------------------------------
 // Property: fused step == unfused SMVP + reference triad, bitwise, on
-// every fused backend (serial BCSR3, symmetric BCSR3, pooled kernel).
+// the serial BCSR3 sweep and the pooled kernel.
 // ---------------------------------------------------------------------------
 
 PropertyResult
@@ -269,30 +232,6 @@ propFusedVsUnfused(const TrialConfig &cfg)
         return fail("bcsr3 fused u_{n+1} != unfused bitwise");
     if (!bitEq(pRef.peak, pF.peak) || !bitEq(pRef.energy, pF.energy))
         return fail("bcsr3 fused partials != unfused bitwise");
-
-    // Symmetric fused sweep vs ITS OWN multiply + triad (the symmetric
-    // scatter reorders sums relative to the full matrix, so the
-    // reference is the symmetric product, not the full one).  Assembled
-    // blocks are only transpose-symmetric up to summation order, hence
-    // the production tolerance rather than the exact-transpose default.
-    const sparse::SymBcsr3Matrix s =
-        sparse::SymBcsr3Matrix::fromBcsr3(a, 1e-9);
-    const std::vector<double> ysym = s.multiply(fx.u);
-    std::vector<double> upRefS = fx.up0;
-    sparse::StepPartials pRefS;
-    sparse::applyStepUpdateRange(fx.su(upRefS.data()), ysym.data(), 0, n,
-                                 pRefS);
-    std::vector<double> upS = fx.up0;
-    std::vector<double> symKu(static_cast<std::size_t>(n));
-    const sparse::StepPartials pS =
-        s.multiplyFusedStep(fx.su(upS.data()), symKu.data());
-    if (!bitwiseEqual(upRefS, upS))
-        return fail("sym fused u_{n+1} != sym multiply + triad bitwise");
-    if (!bitEq(pRefS.peak, pS.peak) || !bitEq(pRefS.energy, pS.energy))
-        return fail("sym fused partials != sym reference bitwise");
-    std::string why;
-    if (!withinMixedTolerance(upRef, upS, kUlpBound, kRelEps, &why))
-        return fail("sym fused vs full fused: " + why);
 
     // Pooled fused kernel: fixed 64-chunk grid, so u and partials are
     // identical across thread counts; u also matches the unfused
@@ -476,12 +415,11 @@ pipelineFingerprint(const TrialConfig &cfg)
     h = hashBytes(sys.mesh.nodes().data(),
                   sys.mesh.nodes().size() * sizeof(mesh::Vec3), h);
 
-    spark::KernelSuite suite(sys.mesh, *sys.model);
-    suite.setThreads(2);
+    const spark::KernelSuite suite(sys.mesh, *sys.model);
     const std::vector<double> x = gen.randomVector(suite.dof());
     h = hashVec(x, h);
-    h = hashVec(suite.run(spark::Kernel::kSymBcsr3Mt, x), h);
-    h = hashVec(suite.run(spark::Kernel::kThreaded, x), h);
+    for (spark::Kernel k : spark::kAllKernels)
+        h = hashVec(suite.run(k, x), h);
 
     const int parts = gen.randomPartCount(sys.mesh);
     const partition::Partition part = gen.randomPartition(sys.mesh, parts);
@@ -1264,9 +1202,8 @@ propCheckpointKillResume(const TrialConfig &cfg)
 // Sliced-ELLPACK properties (DESIGN.md §12): the conversion round-trips
 // the BCSR3 structure exactly at every slice height (including the
 // degenerate height 1), the multiply matches the CSR reference within
-// the mixed oracle, the slice-partitioned threaded kernel is bitwise
-// identical to the serial one, and the fused step is bitwise identical
-// to multiply + the reference triad.
+// the mixed oracle and is deterministic on a rerun, and the fused step
+// is bitwise identical to multiply + the reference triad.
 // ---------------------------------------------------------------------------
 
 PropertyResult
@@ -1363,18 +1300,6 @@ propSlicedEll3Differential(const TrialConfig &cfg)
                         std::to_string(h));
     }
 
-    // The symmetric-source conversion mirrors the stored triangle back
-    // into a full operator; it must agree with the CSR reference.
-    const sparse::SymBcsr3Matrix sym =
-        sparse::SymBcsr3Matrix::fromBcsr3(a, 1e-9);
-    const sparse::SlicedEll3Matrix ellSym =
-        sparse::SlicedEll3Matrix::fromSymBcsr3(sym);
-    ellSym.validate();
-    std::string why;
-    if (!withinMixedTolerance(ref, ellSym.multiply(x), kUlpBound, kRelEps,
-                              &why))
-        return fail("fromSymBcsr3 vs CSR: " + why);
-
     // Fused step == this backend's multiply + the reference triad,
     // bitwise (the fused sweep reuses the same slice kernel and applies
     // the triad in ascending row order).
@@ -1393,22 +1318,6 @@ propSlicedEll3Differential(const TrialConfig &cfg)
         return fail("sliced-ELL fused u_{n+1} != multiply + triad bitwise");
     if (!bitEq(pRef.peak, pF.peak) || !bitEq(pRef.energy, pF.energy))
         return fail("sliced-ELL fused partials != reference bitwise");
-
-    // The slice-partitioned threaded kernel writes disjoint output rows,
-    // so it is bitwise identical to the serial sliced-ELL kernel at
-    // every thread count.
-    spark::KernelSuite suite(sys.mesh, *sys.model);
-    const std::vector<double> xs = gen.randomVector(suite.dof());
-    const std::vector<double> ySerial =
-        suite.run(spark::Kernel::kSlicedEll3, xs);
-    for (int t : cfg.threads)
-    {
-        suite.setThreads(t);
-        if (!bitwiseEqual(ySerial,
-                          suite.run(spark::Kernel::kSlicedEll3Mt, xs)))
-            return fail("kSlicedEll3Mt != serial sliced-ELL bitwise at " +
-                        std::to_string(t) + " threads");
-    }
     return ok();
 }
 
@@ -1875,12 +1784,11 @@ allProperties()
 {
     static const std::vector<Property> kProps = {
         {"kernel_differential",
-         "every KernelSuite kernel vs reference CSR, ULP-bounded; "
-         "threaded kernels bitwise/deterministic",
+         "every KernelSuite kernel vs reference CSR, ULP-bounded, and "
+         "bitwise reproducible call over call",
          propKernelDifferential},
         {"spd_block_differential",
-         "random SPD block matrices through BCSR3, symmetric, and "
-         "threaded paths",
+         "random SPD block matrices through BCSR3 and symmetric BCSR3",
          propSpdBlockDifferential},
         {"fused_vs_unfused",
          "fused step == unfused SMVP + reference triad, bitwise, on all "
@@ -1926,7 +1834,7 @@ allProperties()
          propCheckpointKillResume},
         {"sliced_ell3_differential",
          "sliced-ELL conversion round-trips BCSR3 at every slice "
-         "height; multiply matches CSR; MT and fused paths bitwise",
+         "height; multiply matches CSR; fused path bitwise",
          propSlicedEll3Differential},
         {"engine_backend_ell",
          "distributed sliced-ELL backend bitwise invariant across "

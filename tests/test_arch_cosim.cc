@@ -228,6 +228,21 @@ TEST(Cosim, SinglePeSeesNoCoherence)
     }
 }
 
+TEST(Cosim, RejectsEmptyMatrix)
+{
+    // No stored blocks means no flops: the T_f it would report (0) is
+    // meaningless as a gridFromMeasuredTf input, so the cosim refuses.
+    CosimOptions opt;
+    opt.numPes = 1;
+    EXPECT_THROW(runCosim(sparse::Bcsr3Matrix{},
+                          MesiHierarchyConfig::t3e1998(1), opt),
+                 FatalError);
+    const sparse::Bcsr3Matrix no_blocks(2, {0, 0, 0}, {});
+    EXPECT_THROW(
+        runCosim(no_blocks, MesiHierarchyConfig::t3e1998(1), opt),
+        FatalError);
+}
+
 TEST(Cosim, PartitionedReplaySurfacesSharing)
 {
     const sparse::Bcsr3Matrix k = latticeStiffness(3);

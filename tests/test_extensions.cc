@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the extension features: the full-duplex NI mode of the
- * phase simulator (Figure 5), Rayleigh damping in the time stepper,
- * and the threaded Spark kernel.
+ * phase simulator (Figure 5) and Rayleigh damping in the time stepper.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +9,9 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "mesh/generator.h"
 #include "parallel/phase_simulator.h"
 #include "quake/simulation.h"
-#include "spark/kernels.h"
 
 namespace
 {
@@ -162,72 +159,6 @@ TEST(Damping, WiredThroughSimulationConfig)
     ASSERT_FALSE(undamped.samples.empty());
     EXPECT_LT(damped.samples.back().kineticEnergy,
               undamped.samples.back().kineticEnergy);
-}
-
-// ------------------------------------------------------ threaded kernel
-
-TEST(ThreadedKernel, AgreesWithSequentialAcrossThreadCounts)
-{
-    const mesh::TetMesh m = mesh::buildKuhnLattice(
-        mesh::Aabb{{0, 0, 0}, {1, 1, 1}}, 4, 4, 4);
-    const mesh::UniformModel model(mesh::Aabb{{0, 0, 0}, {1, 1, 1}},
-                                   1.0, 1.0);
-    const spark::KernelSuite suite(m, model);
-
-    std::vector<double> x(static_cast<std::size_t>(suite.dof()));
-    common::SplitMix64 rng(5150);
-    for (double &v : x)
-        v = rng.uniform(-1, 1);
-    std::vector<double> y_seq(x.size());
-    sparse::smvpBcsr3(suite.bcsr(), x.data(), y_seq.data());
-
-    for (int threads : {1, 2, 3, 4, 7}) {
-        parallel::WorkerPool pool(threads);
-        std::vector<double> y_par(x.size(), -1.0);
-        spark::smvpThreaded(suite.bcsr(), x.data(), y_par.data(), pool);
-        // Row partitioning makes the result bitwise identical.
-        EXPECT_EQ(y_par, y_seq) << threads << " threads";
-    }
-}
-
-TEST(ThreadedKernel, MoreThreadsThanRowsIsSafe)
-{
-    sparse::Bcsr3Matrix a(2, {0, 1, 2}, {0, 1});
-    sparse::Block3 b{};
-    b[0] = b[4] = b[8] = 2.0;
-    a.addToBlock(0, 0, b);
-    a.addToBlock(1, 1, b);
-    std::vector<double> x(6, 1.0), y(6, 0.0);
-    parallel::WorkerPool pool(64);
-    spark::smvpThreaded(a, x.data(), y.data(), pool);
-    for (int d : {0, 1, 2, 3, 4, 5})
-        EXPECT_DOUBLE_EQ(y[d], 2.0);
-}
-
-TEST(ThreadedKernel, InTheSuiteDispatch)
-{
-    const mesh::TetMesh m = mesh::buildKuhnLattice(
-        mesh::Aabb{{0, 0, 0}, {1, 1, 1}}, 3, 3, 3);
-    const mesh::UniformModel model(mesh::Aabb{{0, 0, 0}, {1, 1, 1}},
-                                   1.0, 1.0);
-    spark::KernelSuite suite(m, model);
-    suite.setThreads(2);
-    EXPECT_EQ(suite.threads(), 2);
-
-    std::vector<double> x(static_cast<std::size_t>(suite.dof()), 0.5);
-    EXPECT_EQ(suite.run(spark::Kernel::kThreaded, x),
-              suite.run(spark::Kernel::kBcsr3, x));
-    EXPECT_THROW(suite.setThreads(-1), FatalError);
-
-    const spark::KernelTiming t =
-        suite.measure(spark::Kernel::kThreaded, 2);
-    EXPECT_GT(t.mflops, 0.0);
-}
-
-TEST(ThreadedKernel, HasAName)
-{
-    EXPECT_EQ(spark::kernelName(spark::Kernel::kThreaded),
-              "smv-threaded");
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the fused zero-copy time-stepping pipeline (DESIGN.md §8):
- * every fused backend (sequential BCSR3, symmetric BCSR3, the pooled
- * spark kernel, and the distributed two-phase engine) must produce a
- * displacement history bitwise identical to the unfused SMVP + reference
- * triad of the same operator, across thread counts, exchange modes, and
+ * every fused backend (sequential BCSR3, the pooled spark kernel, and
+ * the distributed two-phase engine) must produce a displacement
+ * history bitwise identical to the unfused SMVP + reference triad of
+ * the same operator, across thread counts, exchange modes, and
  * damping settings; the fused peak/energy reductions must be bitwise
  * deterministic across thread counts; and the zero-copy multiplyInto
  * path must match multiply() bit for bit.
@@ -23,7 +23,6 @@
 #include "quake/simulation.h"
 #include "quake/time_stepper.h"
 #include "sparse/assembly.h"
-#include "sparse/bcsr3_sym.h"
 #include "spark/kernels.h"
 
 namespace
@@ -166,29 +165,6 @@ TEST(FusedSequential, BitwiseMatchesUnfusedOnGradedMesh)
     });
     expectBitwiseHistory(runHistory(unfused, 200), runHistory(fused, 200),
                          "graded");
-}
-
-// ---------------------------------------------------- symmetric fused BCSR3
-
-TEST(FusedSymmetric, BitwiseMatchesUnfusedSymmetricKernel)
-{
-    const System sys = latticeSystem();
-    const sparse::SymBcsr3Matrix sym =
-        sparse::SymBcsr3Matrix::fromBcsr3(sys.k, 1e-9);
-
-    SmvpFn smvp = [&sym](const std::vector<double> &x,
-                         std::vector<double> &y) {
-        sym.multiply(x.data(), y.data());
-    };
-    ExplicitTimeStepper unfused = makeStepper(sys, smvp, 0.2);
-    ExplicitTimeStepper fused = makeStepper(sys, smvp, 0.2);
-    std::vector<double> scratch(static_cast<std::size_t>(sym.numRows()));
-    fused.setFusedStep(
-        [&sym, &scratch](const sparse::StepUpdate &su) {
-            return sym.multiplyFusedStep(su, scratch.data());
-        });
-    expectBitwiseHistory(runHistory(unfused, 250), runHistory(fused, 250),
-                         "symmetric");
 }
 
 // ------------------------------------------------------ pooled spark kernel

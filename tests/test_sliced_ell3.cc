@@ -3,8 +3,7 @@
  * Tests for the sliced-ELLPACK-3x3 format (DESIGN.md §12): conversion
  * edge cases (empty rows, single-tet meshes, row-length skew, slice
  * height 1), exact round-trip against the source BCSR3, the fused-step
- * bitwise contract, the threaded kernel's bitwise equality with the
- * serial one, and the engine-level backend knob.
+ * bitwise contract, and the engine-level backend knob.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +15,7 @@
 #include "common/rng.h"
 #include "mesh/generator.h"
 #include "quake/simulation.h"
-#include "spark/kernels.h"
 #include "sparse/assembly.h"
-#include "sparse/bcsr3_sym.h"
 #include "sparse/sliced_ell3.h"
 
 namespace
@@ -29,7 +26,6 @@ using quake::common::FatalError;
 using quake::sparse::Bcsr3Matrix;
 using quake::sparse::Block3;
 using quake::sparse::SlicedEll3Matrix;
-using quake::sparse::SymBcsr3Matrix;
 
 /** Random vector of n scalars in [-1, 1]. */
 std::vector<double>
@@ -209,26 +205,6 @@ TEST(SlicedEll3, RoundTripReproducesBcsr3Exactly)
     }
 }
 
-TEST(SlicedEll3, FromSymBcsr3MatchesTheFullOperator)
-{
-    const TetMesh m =
-        buildKuhnLattice(Aabb{{0, 0, 0}, {1, 1, 1}}, 3, 3, 3);
-    const UniformModel model(Aabb{{0, 0, 0}, {1, 1, 1}}, 1.0, 1.0);
-    const Bcsr3Matrix a =
-        quake::sparse::assembleStiffness(m, model, 0.25);
-    const SymBcsr3Matrix sym = SymBcsr3Matrix::fromBcsr3(a, 1e-9);
-    const SlicedEll3Matrix ell = SlicedEll3Matrix::fromSymBcsr3(sym);
-    ell.validate();
-    EXPECT_EQ(ell.numCoveredRows(), a.numBlockRows());
-
-    const std::vector<double> x = randomVector(a.numRows(), 37);
-    const std::vector<double> ref = a.multiply(x);
-    const std::vector<double> y = ell.multiply(x);
-    for (std::size_t i = 0; i < y.size(); ++i)
-        EXPECT_NEAR(y[i], ref[i], 1e-9 * (1.0 + std::fabs(ref[i])))
-            << "dof " << i;
-}
-
 TEST(SlicedEll3, FusedStepBitwiseEqualsMultiplyPlusTriad)
 {
     const TetMesh m =
@@ -296,23 +272,6 @@ TEST(SlicedEll3, RejectsInvalidSliceHeight)
     EXPECT_THROW(SlicedEll3Matrix::fromBcsr3(a).multiply(
                      std::vector<double>(3, 0.0)),
                  FatalError);
-}
-
-TEST(SlicedEll3, ThreadedKernelBitwiseEqualsSerial)
-{
-    const GeneratedMesh generated = generateSfMesh(SfClass::kSf20);
-    const LayeredBasinModel model;
-    quake::spark::KernelSuite suite(generated.mesh, model);
-    const std::vector<double> x = randomVector(suite.dof(), 53);
-
-    const std::vector<double> serial =
-        suite.run(quake::spark::Kernel::kSlicedEll3, x);
-    for (int t : {1, 2, 4, 8}) {
-        suite.setThreads(t);
-        EXPECT_EQ(serial,
-                  suite.run(quake::spark::Kernel::kSlicedEll3Mt, x))
-            << t << " threads";
-    }
 }
 
 // ---------------------------------------------------------------------------
