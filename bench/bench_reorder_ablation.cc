@@ -3,14 +3,15 @@
  * Ablation: node ordering and the "irregular memory reference" penalty
  * (§4).  Three numberings of the same sf-class matrix — generator
  * order, randomly scrambled, and reverse Cuthill-McKee — through (a)
- * the cache-model T_f predictor and (b) a real timed SMVP on this
- * host.  Shows how much of the gap between sustained and peak rates is
- * ordering, and how much is intrinsic to the sparse gather.
+ * the co-simulated T3E node (arch::runCosim on t3e1998, one PE, one
+ * BCSR3 multiply) and (b) a real timed SMVP on this host.  Shows how
+ * much of the gap between sustained and peak rates is ordering, and
+ * how much is intrinsic to the sparse gather.
  */
 
 #include "bench/bench_util.h"
 
-#include "arch/smvp_trace.h"
+#include "arch/cosim.h"
 #include "common/rng.h"
 #include "spark/kernels.h"
 #include "sparse/assembly.h"
@@ -59,7 +60,13 @@ main(int argc, char **argv)
         scrambled,
         sparse::reverseCuthillMcKee(scrambled.buildNodeAdjacency()));
 
-    const arch::MemoryHierarchy hierarchy; // T3E-flavoured
+    const arch::MesiHierarchyConfig t3e =
+        arch::MesiHierarchyConfig::t3e1998(1);
+    arch::CosimOptions one_pe; // one PE shares no lines: one pass
+    one_pe.format = arch::TraceFormat::kBcsr3;
+    one_pe.numPes = 1;
+    one_pe.iterations = 1;
+    one_pe.peakFlopsPerSecond = 600e6;
     common::Table t({"ordering", "bandwidth", "L1 miss (model)",
                      "MFLOPS (model)", "MFLOPS (measured)"});
     struct Row
@@ -72,8 +79,7 @@ main(int argc, char **argv)
                            Row{"reverse Cuthill-McKee", &rcm}}) {
         const sparse::Bcsr3Matrix k =
             sparse::assembleStiffness(*row.mesh, model);
-        const arch::TfPrediction predicted =
-            arch::predictSmvpTf(k, hierarchy);
+        const arch::CosimResult predicted = arch::runCosim(k, t3e, one_pe);
         const spark::KernelSuite suite(*row.mesh, model);
         const spark::KernelTiming measured =
             suite.measure(spark::Kernel::kBcsr3, 10);
@@ -81,7 +87,7 @@ main(int argc, char **argv)
                   common::formatCount(sparse::graphBandwidth(
                       row.mesh->buildNodeAdjacency())),
                   common::formatFixed(
-                      100 * predicted.memory.l1MissRate(), 1) + "%",
+                      100 * predicted.stats.pe[0].l1MissRate(), 1) + "%",
                   common::formatFixed(predicted.mflops, 0),
                   common::formatFixed(measured.mflops, 0)});
     }

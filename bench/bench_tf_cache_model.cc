@@ -1,17 +1,47 @@
 /**
  * @file
- * Why T_f is what it is: replay the SMVP's address stream through a
- * modeled memory hierarchy and predict the sustained rate (§3.1/§4).
+ * Why T_f is what it is: replay the SMVP's address stream through the
+ * co-simulated T3E node (arch::runCosim on MesiHierarchyConfig::t3e1998,
+ * one PE, one BCSR3 multiply) and predict the sustained rate (§3.1/§4).
  * The paper's observation to reproduce: the T3E runs the local Quake
  * SMVP at ~70 MFLOPS — 12% of its 600 MFLOPS peak — because the data
- * structures do not fit in cache and the x gather is irregular.
+ * structures do not fit in cache and the x gather is irregular.  The
+ * model lands at 41-43 MFLOPS (~7% of peak); EXPERIMENTS.md §3.1
+ * explains the gap.
+ *
+ * runCosim stores the whole reference trace (16 bytes per reference,
+ * about 13 references per stored block) before replaying it.  The
+ * default ladder peaks at about 0.56 GB of RSS on its sf2 (1/2 scale)
+ * rung; --full adds full-size sf2, whose trace alone is roughly 1 GB,
+ * and sf1, which needs more than that.  Keep --full off small hosts
+ * and out of tier-1.
  */
 
 #include "bench/bench_util.h"
 
-#include "arch/smvp_trace.h"
+#include "arch/cosim.h"
 #include "core/reference.h"
 #include "sparse/assembly.h"
+
+namespace
+{
+
+using namespace quake;
+
+/** One BCSR3 multiply on one PE of `node` at the T3E's 600 MFLOPS. */
+arch::CosimResult
+predict(const sparse::Bcsr3Matrix &k,
+        const arch::MesiHierarchyConfig &node)
+{
+    arch::CosimOptions opt;
+    opt.format = arch::TraceFormat::kBcsr3;
+    opt.numPes = 1;
+    opt.iterations = 1; // one PE shares no lines, so one pass suffices
+    opt.peakFlopsPerSecond = 600e6;
+    return arch::runCosim(k, node, opt);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -22,15 +52,15 @@ main(int argc, char **argv)
                        "the Section 3.1 / Section 4 sustained-rate "
                        "observations");
 
-    // A 21164 (T3E node)-flavoured hierarchy: 8KB direct L1, 96KB
-    // 3-way L2, 600 MFLOPS peak.
-    arch::MemoryHierarchy t3e_like;
-    const arch::CoreModel t3e_core{600e6};
+    // The T3E node: a 21164 with 8KB direct L1, 96KB 3-way L2, 32-byte
+    // lines, 100 ns memory.
+    const arch::MesiHierarchyConfig t3e =
+        arch::MesiHierarchyConfig::t3e1998(1);
 
-    // A memory system an order of magnitude faster, same core.
-    arch::MemoryHierarchy fast = t3e_like;
+    // L2 and memory five times faster, same core.
+    arch::MesiHierarchyConfig fast = t3e;
     fast.l2HitSeconds = 4e-9;
-    fast.memorySeconds = 20e-9;
+    fast.dramSeconds = 20e-9;
 
     const mesh::LayeredBasinModel model;
     common::Table t({"matrix", "nnz", "MB", "L1 miss", "L2 miss",
@@ -42,10 +72,9 @@ main(int argc, char **argv)
         const mesh::TetMesh &m = bench::cachedMesh(bm);
         const sparse::Bcsr3Matrix k = sparse::assembleStiffness(m, model);
 
-        const arch::TfPrediction slow =
-            arch::predictSmvpTf(k, t3e_like, t3e_core);
-        const arch::TfPrediction quick =
-            arch::predictSmvpTf(k, fast, t3e_core);
+        const arch::CosimResult slow = predict(k, t3e);
+        const arch::CosimResult quick = predict(k, fast);
+        const arch::PeStats &mem = slow.stats.pe[0];
 
         const double mbytes =
             (72.0 * k.numBlocks() + 4.0 * k.numBlocks() +
@@ -53,27 +82,23 @@ main(int argc, char **argv)
             1e6;
         t.addRow({bm.label, common::formatCount(k.nnz()),
                   common::formatFixed(mbytes, 1),
-                  common::formatFixed(100 * slow.memory.l1MissRate(), 1) +
-                      "%",
-                  common::formatFixed(
-                      slow.memory.accesses > 0
-                          ? 100.0 * slow.memory.l2Misses /
-                                slow.memory.accesses
-                          : 0.0,
-                      1) + "%",
+                  common::formatFixed(100 * mem.l1MissRate(), 1) + "%",
+                  common::formatFixed(100.0 * mem.l2Misses / mem.accesses,
+                                      1) + "%",
                   common::formatFixed(slow.mflops, 0),
-                  common::formatFixed(100 * slow.mflops / 600.0, 1) +
-                      "%",
+                  common::formatFixed(100 * slow.fractionOfPeak, 1) + "%",
                   common::formatFixed(quick.mflops, 0)});
     }
     t.print(std::cout);
 
     std::cout
         << "\nPaper reference point: the T3E sustains ~70 MFLOPS on "
-           "this kernel — 12% of peak (T_f = 14 ns).  The replayed "
-           "prediction lands in the same tens-of-MFLOPS, ~10%-of-peak "
-           "regime for every out-of-cache matrix, and shows the "
-           "mechanism: L1/L2 miss rates set T_f, not the FPU.  The "
+           "this kernel — 12% of peak (T_f = 14 ns).  The co-simulated "
+           "node lands in the same tens-of-MFLOPS regime, ~7% of peak, "
+           "for every out-of-cache matrix, and shows the mechanism: "
+           "L1/L2 miss rates set T_f, not the FPU.  The distance to 12% "
+           "is a mechanism the model leaves out, such as the T3E's "
+           "stream buffers (EXPERIMENTS.md Section 3.1).  The "
            "fast-memory column is the paper's implicit counterfactual "
            "— better memory systems, not faster cores, raise the "
            "sustained rate (and with it, via Equation 1, the demand "

@@ -13,7 +13,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 
 #include "common/args.h"
 #include "common/error.h"
@@ -23,22 +22,6 @@
 #include "parallel/characterize.h"
 #include "partition/geometric_bisection.h"
 
-namespace
-{
-
-std::vector<double>
-parseList(const std::string &text)
-{
-    std::vector<double> values;
-    std::istringstream iss(text);
-    std::string item;
-    while (std::getline(iss, item, ','))
-        values.push_back(std::stod(item));
-    return values;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -47,6 +30,11 @@ main(int argc, char **argv)
     const common::Args args(argc, argv);
     try {
         const int pes = static_cast<int>(args.getInt("pes", 128));
+        core::AnalysisRequest request;
+        if (args.has("mflops"))
+            request.mflopsGrid = args.getDoubleList("mflops");
+        if (args.has("eff"))
+            request.efficiencyGrid = args.getDoubleList("eff");
 
         core::SmvpCharacterization ch;
         if (args.has("paper")) {
@@ -79,12 +67,6 @@ main(int argc, char **argv)
                 problem,
                 mesh::sfClassName(cls) + "/" + std::to_string(pes));
         }
-
-        core::AnalysisRequest request;
-        if (args.has("mflops"))
-            request.mflopsGrid = parseList(args.get("mflops"));
-        if (args.has("eff"))
-            request.efficiencyGrid = parseList(args.get("eff"));
 
         core::printReport(core::analyze(ch, request), std::cout);
     } catch (const common::FatalError &e) {

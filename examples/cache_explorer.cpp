@@ -15,12 +15,12 @@
  *
  * Overrides (--line-bytes, --l1-kb, --l2-kb, --llc-mb, --dram-ns,
  * --coherence-ns, --peak-mflops) patch the chosen era's preset and are
- * validated with a distinct diagnostic per field; bad values die with
- * "fatal: ..." before any mesh is generated.
+ * validated with a distinct diagnostic per field; bad values, and a
+ * malformed --eff list, die with "fatal: ..." before any mesh is
+ * generated.
  */
 
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "arch/cosim.h"
@@ -51,17 +51,6 @@ formatFromName(const std::string &name)
         return arch::TraceFormat::kSlicedEll3;
     common::fatal("unknown format '" + name +
                   "' (expected bcsr3, sym, or ell)");
-}
-
-std::vector<double>
-parseList(const std::string &text)
-{
-    std::vector<double> values;
-    std::istringstream iss(text);
-    std::string item;
-    while (std::getline(iss, item, ','))
-        values.push_back(std::stod(item));
-    return values;
 }
 
 std::string
@@ -122,6 +111,9 @@ main(int argc, char **argv)
             static_cast<int>(args.getInt("iterations", 2));
         opt.sliceHeight = args.getInt("slice", 8);
         opt.peakFlopsPerSecond = peak_mflops * 1e6;
+        const std::vector<double> effs =
+            args.has("eff") ? args.getDoubleList("eff")
+                            : std::vector<double>{0.5, 0.8, 0.9};
 
         // ---- the instance -------------------------------------------
         const mesh::SfClass cls =
@@ -201,9 +193,6 @@ main(int argc, char **argv)
                 core::summarize(parallel::characterize(
                     problem, mesh::sfClassName(cls) + "/" +
                                  std::to_string(pes))));
-            const std::vector<double> effs =
-                args.has("eff") ? parseList(args.get("eff"))
-                                : std::vector<double>{0.5, 0.8, 0.9};
             common::Table req(
                 {"E", "T_c", "sustained bandwidth/PE"});
             for (const core::RequirementRow &row :

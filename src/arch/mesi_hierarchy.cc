@@ -10,6 +10,15 @@ namespace quake::arch
 namespace
 {
 
+/** Widest line the 64-bit written-word mask can describe (64 words). */
+constexpr int kMaxLineBytes = 64 * 8;
+
+bool
+isPowerOfTwo(std::int64_t v)
+{
+    return v > 0 && (v & (v - 1)) == 0;
+}
+
 int
 log2OfPowerOfTwo(std::int64_t v)
 {
@@ -22,6 +31,29 @@ log2OfPowerOfTwo(std::int64_t v)
 } // namespace
 
 // ------------------------------------------------------------- config
+
+std::int64_t
+CacheConfig::numSets() const
+{
+    return sizeBytes / (static_cast<std::int64_t>(lineBytes) *
+                        associativity);
+}
+
+void
+CacheConfig::validate() const
+{
+    QUAKE_EXPECT(sizeBytes > 0, "cache size must be positive");
+    QUAKE_EXPECT(lineBytes > 0, "line size must be positive");
+    QUAKE_EXPECT(associativity > 0, "associativity must be positive");
+    QUAKE_EXPECT(isPowerOfTwo(lineBytes),
+                 "line size must be a power of two");
+    QUAKE_EXPECT(sizeBytes % (static_cast<std::int64_t>(lineBytes) *
+                              associativity) ==
+                     0,
+                 "size must be a multiple of line * associativity");
+    QUAKE_EXPECT(isPowerOfTwo(numSets()),
+                 "set count must be a power of two");
+}
 
 void
 MesiHierarchyConfig::validate() const
@@ -44,6 +76,9 @@ MesiHierarchyConfig::validate() const
     QUAKE_EXPECT(l1.lineBytes == l2.lineBytes &&
                      (!hasLlc || l2.lineBytes == llc.lineBytes),
                  "line sizes must match across levels");
+    QUAKE_EXPECT(l1.lineBytes <= kMaxLineBytes,
+                 "line size must be at most 512 bytes (written-word "
+                 "mask width)");
 }
 
 MesiHierarchyConfig
@@ -302,6 +337,28 @@ MesiHierarchySim::fillPrivate(int pe, std::uint64_t line)
 }
 
 void
+MesiHierarchySim::fillLlc(std::uint64_t line)
+{
+    const std::uint64_t ev = llc_.insert(line);
+    if (ev == PrivateCache::kNoLine || ev == line)
+        return;
+    // Back-invalidate the inclusive victim everywhere.
+    auto vit = directory_.find(ev);
+    if (vit == directory_.end())
+        return;
+    const std::uint32_t sharers = vit->second.sharers;
+    if (vit->second.owner >= 0) {
+        ++stats_.pe[static_cast<std::size_t>(vit->second.owner)]
+              .writebacks;
+        stats_.bytesFromDram += config_.l2.lineBytes;
+    }
+    for (int o = 0; o < config_.numPes; ++o)
+        if (sharers & (1u << o))
+            dropFromPe(o, ev, false, 0);
+    directory_.erase(ev);
+}
+
+void
 MesiHierarchySim::access(int pe, std::uint64_t address, int bytes,
                          bool is_write)
 {
@@ -396,24 +453,7 @@ MesiHierarchySim::access(int pe, std::uint64_t address, int bytes,
         ps.seconds += config_.coherenceSeconds;
         ++stats_.pe[static_cast<std::size_t>(owner)].writebacks;
         if (config_.hasLlc) {
-            const std::uint64_t ev = llc_.insert(line);
-            if (ev != PrivateCache::kNoLine && ev != line) {
-                // Back-invalidate the inclusive victim everywhere.
-                auto vit = directory_.find(ev);
-                if (vit != directory_.end()) {
-                    const std::uint32_t sharers = vit->second.sharers;
-                    if (vit->second.owner >= 0) {
-                        ++stats_.pe[static_cast<std::size_t>(
-                                        vit->second.owner)]
-                              .writebacks;
-                        stats_.bytesFromDram += config_.l2.lineBytes;
-                    }
-                    for (int o = 0; o < config_.numPes; ++o)
-                        if (sharers & (1u << o))
-                            dropFromPe(o, ev, false, 0);
-                    directory_.erase(ev);
-                }
-            }
+            fillLlc(line);
         } else {
             stats_.bytesFromDram += config_.l2.lineBytes; // writeback
         }
@@ -442,23 +482,7 @@ MesiHierarchySim::access(int pe, std::uint64_t address, int bytes,
             ++stats_.llcMisses;
             ps.seconds += config_.dramSeconds;
             stats_.bytesFromDram += config_.llc.lineBytes;
-            const std::uint64_t ev = llc_.insert(line);
-            if (ev != PrivateCache::kNoLine && ev != line) {
-                auto vit = directory_.find(ev);
-                if (vit != directory_.end()) {
-                    const std::uint32_t sharers = vit->second.sharers;
-                    if (vit->second.owner >= 0) {
-                        ++stats_.pe[static_cast<std::size_t>(
-                                        vit->second.owner)]
-                              .writebacks;
-                        stats_.bytesFromDram += config_.l2.lineBytes;
-                    }
-                    for (int o = 0; o < config_.numPes; ++o)
-                        if (sharers & (1u << o))
-                            dropFromPe(o, ev, false, 0);
-                    directory_.erase(ev);
-                }
-            }
+            fillLlc(line);
         }
     } else {
         ps.seconds += config_.dramSeconds;

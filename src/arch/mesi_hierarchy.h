@@ -2,14 +2,14 @@
  * @file
  * Multi-level MESI memory-hierarchy co-simulator (DESIGN.md §15).
  *
- * The flat two-level model in cache_model.h can say WHY one PE's
- * sustained SMVP rate sits at ~12% of peak (paper §3.1/§4), but it
- * cannot represent sharing between PEs — the boundary-row x gathers
- * that read lines another PE just wrote, the symmetric scatter's
- * remote read-modify-writes, the false sharing at partition edges.
- * This module grows the substrate into a configurable per-PE L1/L2 +
- * optional shared-LLC hierarchy with a simple MESI protocol between
- * simulated PEs:
+ * The local SMVP's sustained rate is set by the memory system, not the
+ * FPU (paper §3.1/§4: the T3E sustains 70 of 600 MFLOPS, 12% of peak).
+ * Between PEs it is also a sharing story: boundary-row x gathers read
+ * lines another PE just wrote, the symmetric scatter read-modify-writes
+ * remote rows, and partition edges falsely share lines.  This module
+ * models both with one configurable per-PE L1/L2 + optional shared-LLC
+ * hierarchy and a simple MESI protocol between simulated PEs; with one
+ * PE and no LLC it is a plain two-level cache replay:
  *
  *  - private inclusive L1/L2 per PE (set-associative, LRU);
  *  - a per-line directory at the shared level tracking the sharer set
@@ -37,10 +37,25 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arch/cache_model.h"
-
 namespace quake::arch
 {
+
+/** Geometry of one cache level. */
+struct CacheConfig
+{
+    std::int64_t sizeBytes = 8 * 1024;
+    int lineBytes = 32;
+    int associativity = 1;
+
+    /** Number of sets implied by the geometry. */
+    std::int64_t numSets() const;
+
+    /**
+     * Check invariants (positive fields, powers of two, divisibility);
+     * throws FatalError with a distinct message per violated field.
+     */
+    void validate() const;
+};
 
 /** Geometry + service times of a multi-level multi-PE hierarchy. */
 struct MesiHierarchyConfig
@@ -67,8 +82,9 @@ struct MesiHierarchyConfig
     /**
      * Check invariants; throws FatalError with a distinct message per
      * violated field (geometry via CacheConfig::validate, positive
-     * latencies, matching line sizes across levels, positive PE
-     * count).
+     * latencies, matching line sizes across levels, at most 512-byte
+     * lines and 32 PEs — the widths of the written-word and sharer
+     * masks — and a positive PE count).
      */
     void validate() const;
 
@@ -214,6 +230,13 @@ class MesiHierarchySim
 
     /** Fill `line` into pe's L2+L1, maintaining inclusion + presence. */
     void fillPrivate(int pe, std::uint64_t line);
+
+    /**
+     * Insert `line` into the shared LLC.  A different victim line is
+     * written back if modified and dropped from every sharer
+     * (inclusion), and leaves the directory.
+     */
+    void fillLlc(std::uint64_t line);
 
     /** Drop `line` from pe's private caches and the sharer set. */
     void dropFromPe(int pe, std::uint64_t line, bool by_remote_write,

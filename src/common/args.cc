@@ -7,6 +7,23 @@
 namespace quake::common
 {
 
+namespace
+{
+
+/** Parse all of `text` as one number; throws naming --name. */
+double
+parseNumber(const std::string &name, const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    QUAKE_EXPECT(end != text.c_str() && *end == '\0',
+                 "--" << name << " expects a number, got '" << text
+                      << "'");
+    return v;
+}
+
+} // namespace
+
 Args::Args(int argc, const char *const *argv)
 {
     for (int i = 1; i < argc; ++i) {
@@ -49,7 +66,7 @@ Args::getInt(const std::string &name, long fallback) const
         return fallback;
     char *end = nullptr;
     long v = std::strtol(it->second.c_str(), &end, 10);
-    QUAKE_EXPECT(end && *end == '\0',
+    QUAKE_EXPECT(end != it->second.c_str() && *end == '\0',
                  "--" << name << " expects an integer, got '"
                       << it->second << "'");
     return v;
@@ -59,14 +76,26 @@ double
 Args::getDouble(const std::string &name, double fallback) const
 {
     auto it = options.find(name);
+    return it == options.end() ? fallback : parseNumber(name, it->second);
+}
+
+std::vector<double>
+Args::getDoubleList(const std::string &name) const
+{
+    std::vector<double> values;
+    auto it = options.find(name);
     if (it == options.end())
-        return fallback;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    QUAKE_EXPECT(end && *end == '\0',
-                 "--" << name << " expects a number, got '"
-                      << it->second << "'");
-    return v;
+        return values;
+    const std::string &text = it->second;
+    std::size_t begin = 0;
+    for (;;) {
+        const std::size_t comma = text.find(',', begin);
+        values.push_back(
+            parseNumber(name, text.substr(begin, comma - begin)));
+        if (comma == std::string::npos)
+            return values;
+        begin = comma + 1;
+    }
 }
 
 } // namespace quake::common

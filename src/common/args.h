@@ -41,6 +41,14 @@ class Args
     /** Value of --name parsed as double, or fallback when absent. */
     double getDouble(const std::string &name, double fallback) const;
 
+    /**
+     * Value of --name parsed as a comma-separated list of doubles, or
+     * an empty list when absent.  Every item must parse the way
+     * getDouble's value does: an empty item or trailing garbage throws
+     * FatalError naming the flag.
+     */
+    std::vector<double> getDoubleList(const std::string &name) const;
+
     /** Positional (non-flag) arguments in order of appearance. */
     const std::vector<std::string> &positional() const { return positionals; }
 

@@ -8,9 +8,8 @@
  * emitter here walks the exact reference sequence of one format's
  * kernel — the same loads and stores, in the same order, as the code
  * in bcsr3.cc / bcsr3_sym.cc / sliced_ell3.cc — into a format-neutral
- * `AccessTrace` that arch/ replays through modeled cache hierarchies
- * (flat two-level in smvp_trace.h, multi-level MESI in
- * mesi_hierarchy.h).
+ * `AccessTrace` that arch/ replays through the multi-level MESI
+ * hierarchy (arch/mesi_hierarchy.h, driven by arch/cosim.h).
  *
  * Three streams, three stories:
  *  - BCSR3: the irregular x gather against streamed values/indices —

@@ -230,6 +230,7 @@ TEST(Args, RejectsMalformedNumbers)
 {
     const Args args = makeArgs({"--pes", "12x"});
     EXPECT_THROW(args.getInt("pes", 0), FatalError);
+    EXPECT_THROW(makeArgs({"--pes="}).getInt("pes", 4), FatalError);
 }
 
 TEST(Args, CollectsPositionals)
@@ -245,6 +246,39 @@ TEST(Args, FlagFollowedByFlagIsBoolean)
     const Args args = makeArgs({"--a", "--b", "val"});
     EXPECT_EQ(args.get("a"), "true");
     EXPECT_EQ(args.get("b"), "val");
+}
+
+TEST(Args, ParsesDoubleList)
+{
+    const Args args = makeArgs({"--mflops", "150,300.5,1e3", "--eff=0.9"});
+    EXPECT_EQ(args.getDoubleList("mflops"),
+              (std::vector<double>{150.0, 300.5, 1000.0}));
+    EXPECT_EQ(args.getDoubleList("eff"), std::vector<double>{0.9});
+    EXPECT_TRUE(args.getDoubleList("absent").empty());
+}
+
+TEST(Args, DoubleListRejectsEmptyItem)
+{
+    for (const char *text : {"0.5,,0.9", "0.5,", ",0.5", ""})
+        EXPECT_THROW(makeArgs({"--eff", text}).getDoubleList("eff"),
+                     FatalError)
+            << "'" << text << "'";
+    // An empty value is no number for getDouble either.
+    EXPECT_THROW(makeArgs({"--eff="}).getDouble("eff", 0.5), FatalError);
+}
+
+TEST(Args, DoubleListRejectsTrailingGarbage)
+{
+    try {
+        makeArgs({"--eff", "0.85x"}).getDoubleList("eff");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "--eff expects a number, got '0.85x'"),
+                  std::string::npos);
+    }
+    EXPECT_THROW(makeArgs({"--mflops", "150,x"}).getDoubleList("mflops"),
+                 FatalError);
 }
 
 // ------------------------------------------------------------------- fnv

@@ -2,12 +2,12 @@
  * @file
  * Tests for reverse Cuthill-McKee reordering: permutation mechanics,
  * bandwidth reduction, mesh invariance under renumbering, and the
- * locality payoff measured through the cache model.
+ * locality payoff measured through the memory-hierarchy co-simulator.
  */
 
 #include <gtest/gtest.h>
 
-#include "arch/smvp_trace.h"
+#include "arch/cosim.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "mesh/generator.h"
@@ -149,9 +149,9 @@ TEST(Rcm, HandlesDisconnectedComponents)
 TEST(Rcm, ImprovesPredictedCacheBehaviour)
 {
     using namespace quake::arch;
-    // Scramble an sf-class mesh, then reorder with RCM: the cache
-    // model must predict a better (or equal) sustained rate for the
-    // RCM ordering — the §4 "irregular memory reference" mechanism.
+    // Scramble an sf-class mesh, then reorder with RCM: the
+    // co-simulated T3E node must predict a better sustained rate for
+    // the RCM ordering — the §4 "irregular memory reference" mechanism.
     const GeneratedMesh g = generateSfMesh(SfClass::kSf10);
     const LayeredBasinModel model;
 
@@ -170,13 +170,18 @@ TEST(Rcm, ImprovesPredictedCacheBehaviour)
         reverseCuthillMcKee(scrambled.buildNodeAdjacency());
     const TetMesh ordered = permuteMesh(scrambled, rcm);
 
-    const MemoryHierarchy hierarchy;
-    const TfPrediction bad = predictSmvpTf(
-        assembleStiffness(scrambled, model), hierarchy);
-    const TfPrediction good = predictSmvpTf(
-        assembleStiffness(ordered, model), hierarchy);
+    CosimOptions opt; // one BCSR3 multiply on one 1998 PE
+    opt.format = TraceFormat::kBcsr3;
+    opt.numPes = 1;
+    opt.iterations = 1;
+    opt.peakFlopsPerSecond = 600e6;
+    const MesiHierarchyConfig t3e = MesiHierarchyConfig::t3e1998(1);
+    const CosimResult bad =
+        runCosim(assembleStiffness(scrambled, model), t3e, opt);
+    const CosimResult good =
+        runCosim(assembleStiffness(ordered, model), t3e, opt);
     EXPECT_GT(good.mflops, bad.mflops);
-    EXPECT_LT(good.memory.l1MissRate(), bad.memory.l1MissRate());
+    EXPECT_LT(good.stats.pe[0].l1MissRate(), bad.stats.pe[0].l1MissRate());
 }
 
 TEST(PermuteMesh, RejectsWrongSize)
