@@ -2,8 +2,8 @@
  * @file
  * Flat vs hierarchical (shard x thread) engine benchmark (DESIGN.md
  * §13): measures what the two-level topology buys — per-shard
- * first-touched slabs, pinned nested pools, inter-shard-only exchange —
- * against the flat single-pool engine on the same distributed problem.
+ * first-touched slabs, workers pinned per shard, inter-shard-only
+ * exchange — against the flat engine on the same distributed problem.
  *
  * For each topology the harness times the zero-copy SMVP and the fused
  * step loop, reporting steps/sec, effective T_f (seconds per executed

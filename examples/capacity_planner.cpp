@@ -9,7 +9,7 @@
  *
  * Usage: capacity_planner [--mflops F] [--latency-us L] [--burst-mbs B]
  *                         [--mesh sf10|sf5|sf2|sf1] [--block-words W]
- *                         [--shards S] [--pin] [--topology SPEC]
+ *                         [--topology SPEC] [--pin]
  *                         [--faults [--drop-rate R] [--seed S]]
  *                         [--deadline-ms D [--retry-budget N]]
  *
@@ -22,11 +22,11 @@
  * same model-informed timeout the resilience supervisor derives — and
  * says whether the budgeted retries can absorb a stall.
  *
- * With --shards / --topology, the planner prints the normalized
- * shard x thread execution topology the SMVP engine would run under
- * (DESIGN.md §13) — "auto" shows what NUMA detection sees on this
- * host — so a placement can be sanity-checked before committing to a
- * long run.  --pin marks the printed topology as pinned.
+ * With --topology, the planner prints the shard x thread execution
+ * topology the SMVP engine would run under (DESIGN.md §13) — "auto"
+ * shows what NUMA detection sees on this host — so a placement can be
+ * sanity-checked before committing to a long run.  --pin marks the
+ * printed topology as pinned.
  */
 
 #include <iostream>
@@ -78,17 +78,13 @@ run(int argc, char **argv)
         fault_spec.validate();
     }
 
-    // Deadline/SLO and topology arguments were validated by
-    // parseEngineCli before any table is printed; --topology parses
-    // (or FatalErrors) here, still ahead of output.
+    // Deadline/SLO arguments were validated by parseEngineCli before
+    // any table is printed; --topology parses (or FatalErrors) here,
+    // still ahead of output.
     const double deadline_ms = cli.hasDeadlineMs ? cli.deadlineMs : 0.0;
     const long retry_budget = cli.retryBudget;
-    parallel::Topology topo;
-    topo.numShards = cli.shards;
-    topo.pin = cli.pin;
-    if (!cli.topologySpec.empty())
-        topo = parallel::Topology::parse(cli.topologySpec, cli.pin);
-    topo.validate();
+    const parallel::Topology topo = parallel::Topology::parse(
+        cli.topologySpec.empty() ? "flat" : cli.topologySpec, cli.pin);
 
     std::cout << "Machine: " << common::formatFixed(machine.mflops(), 0)
               << " MFLOPS sustained, T_l = "
@@ -99,7 +95,7 @@ run(int argc, char **argv)
                                   : " (maximally aggregated blocks)")
               << "\n\n";
 
-    if (!cli.topologySpec.empty() || cli.shards > 1 || cli.pin) {
+    if (!cli.topologySpec.empty() || cli.pin) {
         // What the engine would run under (DESIGN.md §13): shard count,
         // threads per shard (0 = even split of the visible CPUs), and
         // any detected per-shard CPU placement.

@@ -8,19 +8,19 @@
  *                       [--duration seconds] [--max-steps N]
  *                       [--freq hz] [--scale h-scale]
  *                       [--damping a0] [--seismogram path]
- *                       [--shards S] [--pin] [--topology SPEC]
+ *                       [--topology SPEC] [--pin]
  *                       [--trace path] [--metrics path]
  *                       [--sample-every N]
  *                       [--faults [--drop-rate R] [--seed S]]
  *                       [--checkpoint path [--checkpoint-every N]]
  *                       [--resume] [--deadline ms] [--retries N]
  *
- * --shards splits the distributed engine's PEs into S NUMA-style
- * shards (nested pinned worker pools, DESIGN.md §13); --pin pins shard
- * workers to their shard's CPUs (advisory); --topology overrides both
- * with "flat", "auto" (NUMA detection), or "SxT" (e.g. "2x4").  All
- * three are execution knobs: the trajectory is bitwise identical for
- * every topology.
+ * --topology splits the distributed engine's PEs into NUMA-style
+ * shards (blocks of one worker pool, DESIGN.md §13): "flat" (the
+ * default), "auto" (one shard per NUMA domain), or "SxT" (e.g. "2x4";
+ * "2x0" divides the threads evenly).  --pin pins each shard's workers
+ * to its CPUs (advisory).  Both are execution knobs: the trajectory is
+ * bitwise identical for every topology.
  *
  * With --checkpoint, the run snapshots its full state to `path`
  * atomically every N steps (default 100); kill it at any point and
@@ -84,7 +84,6 @@ run(int argc, char **argv)
     config.wavelet.delaySeconds = 2.0 / config.wavelet.peakFrequencyHz;
     config.sampleInterval = 50;
     config.dampingA0 = args.getDouble("damping", 0.0);
-    config.smvpShards = cli.shards;
     config.pinSmvpThreads = cli.pin;
     config.topologySpec = cli.topologySpec;
 
@@ -122,13 +121,10 @@ run(int argc, char **argv)
               << config.numPes << " PE(s), source at ("
               << config.hypocenter.x << ", " << config.hypocenter.y
               << ", " << config.hypocenter.z << ") km depth...\n";
-    if (!config.topologySpec.empty() || config.smvpShards > 1 ||
-        config.pinSmvpThreads)
+    if (!config.topologySpec.empty() || config.pinSmvpThreads)
         std::cout << "  engine topology: "
-                  << (config.topologySpec.empty()
-                          ? std::to_string(config.smvpShards) +
-                                " shard(s)"
-                          : config.topologySpec)
+                  << (config.topologySpec.empty() ? "flat"
+                                                  : config.topologySpec)
                   << (config.pinSmvpThreads ? ", pinned" : "") << "\n";
 
     // Generate the mesh up front so receiver stations can be placed.

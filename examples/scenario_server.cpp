@@ -11,7 +11,7 @@
  *                        [--threads N] [--span-threshold N]
  *                        [--cache-mb M] [--queue N] [--results DIR]
  *                        [--mflops F [--tc-ns W]] [--deadline-ms D]
- *                        [--shards S] [--pin] [--topology SPEC]
+ *                        [--topology SPEC]
  *                        [--faults [--drop-rate R] [--seed S]]
  *                        [--metrics path] [--check]
  *

@@ -10,9 +10,6 @@ parseEngineCli(const Args &args)
 {
     EngineCliOptions opt;
 
-    opt.shards = static_cast<int>(args.getInt("shards", 1));
-    QUAKE_EXPECT(opt.shards >= 1,
-                 "--shards must be >= 1, got " << opt.shards);
     opt.pin = args.has("pin");
     opt.topologySpec = args.get("topology");
 

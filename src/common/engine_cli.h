@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared parsing of the engine-facing command-line flags
- * (--shards/--pin/--topology, --faults/--drop-rate/--seed,
+ * (--pin/--topology, --faults/--drop-rate/--seed,
  * --deadline-ms/--retry-budget, --trace/--metrics/--sample-every).
  *
  * Three front ends expose the same execution knobs — earthquake_sim,
@@ -32,7 +32,6 @@ namespace quake::common
 struct EngineCliOptions
 {
     // --- execution topology (DESIGN.md §13) ---
-    int shards = 1;           ///< --shards S (>= 1)
     bool pin = false;         ///< --pin
     std::string topologySpec; ///< --topology flat|auto|detect|SxT ("" = unset)
 

@@ -112,37 +112,22 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
         for (int i = shard_begin_[s]; i < shard_begin_[s + 1]; ++i)
             shard_of_[static_cast<std::size_t>(i)] = s;
 
-    // CPU placement for pinning: the topology's explicit per-shard
-    // lists when given, else an even contiguous split of the affinity
-    // mask.  Advisory throughout — empty sets and failed pins fall
-    // back to unpinned workers.
-    std::vector<std::vector<int>> shard_cpus = topo.shardCpus;
-    if (static_cast<int>(shard_cpus.size()) > num_shards_)
-        shard_cpus.resize(static_cast<std::size_t>(num_shards_));
-    if (topo.pin && shard_cpus.empty())
-        shard_cpus = splitCpus(affinityCpus(), num_shards_);
-    const bool pin = topo.pin && !shard_cpus.empty();
-
-    if (num_shards_ > 1) {
-        // Outer pool: one worker per shard, pinned to its shard's CPU
-        // set so inline work (threads_per_shard_ == 1) and first-touch
-        // allocation land in the shard's domain.
-        WorkerPoolOptions outer_opts;
-        if (pin)
-            outer_opts.workerCpus = shard_cpus;
-        outer_pool_ = std::make_unique<WorkerPool>(num_shards_,
-                                                   std::move(outer_opts));
+    // One pool of S x T workers; worker w serves shard w / T.  Under
+    // pinning it pins itself to its shard's CPU list: the topology's
+    // explicit per-shard lists when given, else an even contiguous
+    // split of the affinity mask.  Advisory throughout — empty sets
+    // and failed pins fall back to unpinned workers.
+    WorkerPoolOptions opts;
+    if (topo.pin) {
+        const std::vector<std::vector<int>> shard_cpus =
+            topo.shardCpus.empty()
+                ? splitCpus(affinityCpus(), num_shards_)
+                : topo.shardCpus;
+        for (int w = 0; w < numThreads(); ++w)
+            opts.workerCpus.push_back(shard_cpus[static_cast<std::size_t>(
+                w / threads_per_shard_)]);
     }
-    shard_pools_.resize(static_cast<std::size_t>(num_shards_));
-    for (int s = 0; s < num_shards_; ++s) {
-        WorkerPoolOptions opts;
-        if (pin)
-            opts.workerCpus = {shard_cpus[static_cast<std::size_t>(
-                s % static_cast<int>(shard_cpus.size()))]};
-        shard_pools_[static_cast<std::size_t>(s)] =
-            std::make_unique<WorkerPool>(threads_per_shard_,
-                                         std::move(opts));
-    }
+    pool_ = std::make_unique<WorkerPool>(numThreads(), std::move(opts));
 
     // Precompute exchange bookkeeping.
     exchange_base_.resize(static_cast<std::size_t>(p) + 1, 0);
@@ -220,9 +205,9 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
     }
 
     // Persistent slabs: outer containers sized here, inner storage
-    // filled by initPeSlabs — inline when flat, on each owning shard's
-    // worker threads when hierarchical, so pages are first-touched in
-    // the domain that will stream them every step.
+    // filled by initPeSlabs on the worker that serves each PE, so
+    // pages are first-touched in the domain that will stream them
+    // every step.
     x_local_.resize(static_cast<std::size_t>(p));
     y_local_.resize(static_cast<std::size_t>(p));
     buffers_.resize(static_cast<std::size_t>(exchange_base_[p]));
@@ -232,20 +217,10 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
     } else if (num_shards_ > 1) {
         local_stiffness_.resize(static_cast<std::size_t>(p));
     }
-    if (num_shards_ == 1) {
-        for (int i = 0; i < p; ++i)
+    pool_->run([this](int w) {
+        for (int i = firstPe(w); i < endPe(w); i += threads_per_shard_)
             initPeSlabs(i);
-    } else {
-        outer_pool_->run([this](int s) {
-            shard_pools_[static_cast<std::size_t>(s)]->run(
-                [this, s](int t) {
-                    for (int i = shard_begin_[s] + t;
-                         i < shard_begin_[s + 1];
-                         i += threads_per_shard_)
-                        initPeSlabs(i);
-                });
-        });
-    }
+    });
 
     published_ = std::make_unique<std::atomic<std::uint64_t>[]>(
         static_cast<std::size_t>(exchange_base_[p]));
@@ -296,30 +271,13 @@ ParallelSmvp::initPeSlabs(int i)
     }
 }
 
-std::int64_t
-ParallelSmvp::pinFailures() const
-{
-    std::int64_t failures =
-        outer_pool_ != nullptr ? outer_pool_->pinFailures() : 0;
-    for (const std::unique_ptr<WorkerPool> &pool : shard_pools_)
-        failures += pool->pinFailures();
-    return failures;
-}
-
 void
 ParallelSmvp::setCollector(telemetry::Collector *collector)
 {
-    const int S = num_shards_;
-    const int T = threads_per_shard_;
-    if (collector != nullptr)
-        collector->ensureSlots(S == 1 ? 1 + T : 1 + S + S * T);
+    // The pool sizes the collector for its layout, which is the
+    // engine's: slot 0 and 1 + w.
+    pool_->setCollector(collector);
     tele_ = collector;
-    if (outer_pool_ != nullptr)
-        outer_pool_->setCollector(collector, 0, 1);
-    for (int s = 0; s < S; ++s)
-        shard_pools_[static_cast<std::size_t>(s)]->setCollector(
-            collector, S == 1 ? 0 : 1 + s,
-            S == 1 ? 1 : 1 + S + s * T);
     if (collector != nullptr && collector->enabled()) {
         // Construction-time facts, recorded once on attach.
         collector->add(0, telemetry::Counter::kPinFailures,
@@ -357,22 +315,21 @@ ParallelSmvp::waitForPublish(std::int64_t peer_flat, int slot,
 
 template <class Finalize>
 void
-ParallelSmvp::runLocalPhase(int s, int tid, const Finalize &fin) const
+ParallelSmvp::runLocalPhase(int w, const Finalize &fin) const
 {
-    const int end = shard_begin_[s + 1];
+    const int end = endPe(w);
     const bool publish_early = mode_ == ExchangeMode::kOverlapped;
     telemetry::Collector *tele =
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
     const bool sampled = tele != nullptr && tele->sampledStep();
-    const int slot = teleSlot(s, tid);
+    const int slot = 1 + w;
     const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
 
     // Boundary rows first, message buffers published, then interior.
     // When publish_early is set, peers may start consuming a buffer the
     // moment its release-store lands — while this thread is still in
     // the interior sweep below.
-    for (int i = shard_begin_[s] + tid; i < end;
-         i += threads_per_shard_) {
+    for (int i = firstPe(w); i < end; i += threads_per_shard_) {
         const Subdomain &sub = problem_.subdomains[i];
         const std::int64_t nl = sub.numLocalNodes();
         const std::uint64_t b0 = sampled ? tele->now() : 0;
@@ -420,8 +377,7 @@ ParallelSmvp::runLocalPhase(int s, int tid, const Finalize &fin) const
     // so its row is final here and the finalizer's writes are disjoint
     // across PEs.  A sliced-ELL batch is one slice, whose lanes are the
     // next interiorRows in list order (pad lanes trail the last slice).
-    for (int i = shard_begin_[s] + tid; i < end;
-         i += threads_per_shard_) {
+    for (int i = firstPe(w); i < end; i += threads_per_shard_) {
         const Subdomain &sub = problem_.subdomains[i];
         const double *xl = x_local_[i].data();
         double *yl = y_local_[i].data();
@@ -467,18 +423,17 @@ ParallelSmvp::runLocalPhase(int s, int tid, const Finalize &fin) const
 
 template <class Finalize>
 void
-ParallelSmvp::runExchangePhase(int s, int tid, const Finalize &fin) const
+ParallelSmvp::runExchangePhase(int w, const Finalize &fin) const
 {
-    const int end = shard_begin_[s + 1];
+    const int end = endPe(w);
     const bool wait_for_publish = mode_ == ExchangeMode::kOverlapped;
     telemetry::Collector *tele =
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
     const bool sampled = tele != nullptr && tele->sampledStep();
-    const int slot = teleSlot(s, tid);
+    const int slot = 1 + w;
     const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
 
-    for (int i = shard_begin_[s] + tid; i < end;
-         i += threads_per_shard_) {
+    for (int i = firstPe(w); i < end; i += threads_per_shard_) {
         const Subdomain &sub = problem_.subdomains[i];
         std::vector<double> &yl = y_local_[i];
         const PeSchedule &pe = problem_.schedule.pe(i);
@@ -524,13 +479,13 @@ ParallelSmvp::runExchangePhase(int s, int tid, const Finalize &fin) const
 }
 
 void
-ParallelSmvp::runWorker(int s, int tid) const
+ParallelSmvp::runWorker(int w) const
 {
     const auto run = [&](const auto &fin) {
         if ((phases_arg_ & kLocalPhase) != 0)
-            runLocalPhase(s, tid, fin);
+            runLocalPhase(w, fin);
         if ((phases_arg_ & kExchangePhase) != 0)
-            runExchangePhase(s, tid, fin);
+            runExchangePhase(w, fin);
     };
     if (su_arg_ == nullptr) {
         // Store: copy finished rows into the global y.
@@ -565,17 +520,9 @@ ParallelSmvp::dispatch() const
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
     const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
 
-    // One fork/join over the flat pool or the nested shard pools.
     const auto fork_join = [this](int phases) {
         phases_arg_ = phases;
-        if (num_shards_ == 1) {
-            shard_pools_[0]->run([this](int tid) { runWorker(0, tid); });
-        } else {
-            outer_pool_->run([this](int s) {
-                shard_pools_[static_cast<std::size_t>(s)]->run(
-                    [this, s](int tid) { runWorker(s, tid); });
-            });
-        }
+        pool_->run([this](int w) { runWorker(w); });
     };
 
     ++epoch_;
@@ -587,10 +534,8 @@ ParallelSmvp::dispatch() const
         // shard boundaries through the same protocol.
         fork_join(kLocalPhase | kExchangePhase);
     } else {
-        // Two fork/joins: the join between them is the BSP barrier.
-        // With several shards it is the OUTER join — a shard-local join
-        // would let a shard read peer buffers other shards have not
-        // written yet.
+        // Two joins of the one pool: the join between them is the BSP
+        // barrier, global across shards.
         fork_join(kLocalPhase);
         fork_join(kExchangePhase);
     }

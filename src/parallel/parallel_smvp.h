@@ -8,8 +8,9 @@
  *
  * This is an *engine*, built for the thousands-of-timesteps inner loop:
  *
- *  - Logical PEs are multiplexed onto persistent WorkerPools created
- *    once per engine lifetime; no threads are spawned per multiply.
+ *  - Logical PEs are multiplexed onto one persistent WorkerPool
+ *    created once per engine lifetime; no threads are spawned per
+ *    multiply.
  *  - Message buffers and local vectors are allocated once and reused.
  *  - In ExchangeMode::kOverlapped (the default), each PE computes its
  *    boundary rows first and publishes its message buffers early, then
@@ -18,19 +19,20 @@
  *    rather than only in the analytic model.
  *
  * The engine is two-level (DESIGN.md §13): a Topology maps the PEs
- * onto contiguous shards — one per NUMA domain when detected — and
- * each shard owns a nested pinned WorkerPool whose threads first-touch
- * that shard's slabs, scratch, and exchange buffers so pages land in
- * the local memory domain.  The boundary exchange runs *between*
- * shards (each shard publishes its boundary buffers, then sums peers'
- * in ascending peer order) while the kernels thread-split *within* a
- * shard.  A single-shard Topology degenerates to the historical flat
- * engine, same code path, same dispatch shape.
+ * onto S contiguous shards — one per NUMA domain when detected — of T
+ * threads each, run as blocks of one pool of S x T workers.  Worker w
+ * serves shard w / T as thread w % T; under pinning it pins itself to
+ * that shard's CPUs and first-touches its PEs' slabs, scratch, and
+ * exchange buffers so pages land in the local memory domain.  The
+ * boundary exchange runs *between* shards (each PE publishes its
+ * boundary buffers, then sums peers' in ascending peer order) while
+ * the kernels thread-split *within* a shard.  A flat engine is the
+ * single-shard case of the same code path.
  *
  * The result is bitwise deterministic and independent of shard count,
  * thread count, and overlap mode: every row is computed by the same
  * unrolled kernel, and each PE sums peer contributions in ascending
- * peer order (verify property `engine_hierarchy`).
+ * peer order (verify property `engine_invariance`).
  */
 
 #ifndef QUAKE98_PARALLEL_PARALLEL_SMVP_H_
@@ -75,9 +77,9 @@ class ParallelSmvp
 {
   public:
     /**
-     * Flat-engine convenience ctor: a single shard of `num_threads`
-     * workers (0 = hardwareThreads(), capped at the PE count) — the
-     * historical interface, delegating to the Topology ctor.
+     * Flat-engine ctor: a single shard of `num_threads` workers
+     * (0 = hardwareThreads(), capped at the PE count), delegating to
+     * the Topology ctor with Topology::flat(num_threads).
      *
      * @param problem     Distributed problem; must have assembled
      *                    stiffness matrices.  Must outlive the engine.
@@ -102,9 +104,9 @@ class ParallelSmvp
      * thread budget evenly).  With topo.pin set, shard workers pin to
      * topo.shardCpus (or an even split of the affinity mask when no
      * placement is given); pins are advisory — see pinFailures().
-     * With more than one shard, each shard's worker threads
-     * first-touch-initialize that shard's kernel slabs, scratch
-     * vectors, and exchange buffers during construction.
+     * Each worker first-touch-initializes the kernel slabs, scratch
+     * vectors, and exchange buffers of the PEs it serves during
+     * construction.
      */
     ParallelSmvp(const DistributedProblem &problem, const Topology &topo,
                  ExchangeMode mode = ExchangeMode::kOverlapped,
@@ -115,7 +117,7 @@ class ParallelSmvp
      * x must be consistent (a single value per global node); y is the
      * exact global product, each entry written by its owning PE.
      *
-     * Reuses the engine's persistent pools and scratch buffers, so a
+     * Reuses the engine's persistent pool and scratch buffers, so a
      * given engine must not run two multiplies concurrently.
      */
     std::vector<double> multiply(const std::vector<double> &x) const;
@@ -150,7 +152,7 @@ class ParallelSmvp
      * triad.
      *
      * Performs no heap allocation: scratch is persistent and the pool
-     * dispatches capture only `this` (+ a shard index).
+     * dispatches capture only `this`.
      */
     sparse::StepPartials stepFused(const sparse::StepUpdate &su) const;
 
@@ -170,12 +172,12 @@ class ParallelSmvp
     SmvpKernelBackend kernelBackend() const { return backend_; }
 
     /**
-     * Advisory pin attempts that failed across every pool (0 when the
-     * topology did not request pinning or every pin stuck).  Complete
-     * once construction returns: the first-touch setup dispatch joins
-     * all workers past their self-pin.
+     * Advisory pin attempts that failed, at most one per worker (0
+     * when the topology did not request pinning or every pin stuck).
+     * Complete once construction returns: the first-touch setup
+     * dispatch joins all workers past their self-pin.
      */
-    std::int64_t pinFailures() const;
+    std::int64_t pinFailures() const { return pool_->pinFailures(); }
 
     /**
      * Exchange traffic classified by the shard map: bytes whose sender
@@ -193,12 +195,12 @@ class ParallelSmvp
     double shardImbalance() const { return shard_imbalance_; }
 
     /**
-     * The engine's shard-0 worker pool, for callers that want to run
-     * their own fork/join work (e.g. initial-condition setup, the
-     * stepper's chunked vector ops) on the same threads.  Must not be
-     * used while a multiply is in flight.
+     * The engine's worker pool (numThreads() workers), for callers
+     * that want to run their own fork/join work (e.g. initial-condition
+     * setup, the stepper's chunked vector ops) on the same threads.
+     * Must not be used while a multiply is in flight.
      */
-    WorkerPool &workerPool() const { return *shard_pools_[0]; }
+    WorkerPool &workerPool() const { return *pool_; }
 
     /**
      * Attach a telemetry collector (DESIGN.md §9).  Each worker then
@@ -208,18 +210,15 @@ class ParallelSmvp
      * per-PE boundary/exchange/spin spans on steps where
      * collector->sampledStep() holds.  Pin failures and the shard
      * imbalance are recorded once, on attach.  Slot layout: 0 = the
-     * engine/outer pool, 1..S = shard control slots (written only by
-     * the owning outer worker), then S*T contiguous worker slots — a
-     * single writer per slot, so recording never contends (flat
-     * engines keep the historical 0 / 1+tid layout).  Recording writes
-     * only to the collector's preallocated per-thread slots, so the
-     * 0-allocs/step and bitwise-determinism contracts of DESIGN.md §8
-     * are preserved (tested in test_telemetry.cc).  Setup-time only;
-     * pass nullptr to detach.  The detach reaches the outer pool and
-     * every shard pool: once setCollector(nullptr) returns, no engine
-     * or pool thread touches the old collector again, so it may be
-     * destroyed before the engine; otherwise the collector must
-     * outlive the engine.
+     * engine and pool control, 1 + w = worker w — a single writer per
+     * slot, so recording never contends.  Recording writes only to the
+     * collector's preallocated per-thread slots, so the 0-allocs/step
+     * and bitwise-determinism contracts of DESIGN.md §8 are preserved
+     * (tested in test_telemetry.cc).  Setup-time only; pass nullptr to
+     * detach.  Once setCollector(nullptr) returns, no engine or pool
+     * thread touches the old collector again, so it may be destroyed
+     * before the engine; otherwise the collector must outlive the
+     * engine.
      */
     void setCollector(telemetry::Collector *collector);
 
@@ -242,19 +241,20 @@ class ParallelSmvp
      * and interior rows converted separately so the two-phase schedule
      * (boundary → publish → interior) is preserved.  Lane order is the
      * subdomain's ascending row-list order, so the fused triad visits
-     * interior rows in exactly the order of the BCSR3 path.  With more
-     * than one shard the conversion runs on the owning shard's threads
-     * (first touch).
+     * interior rows in exactly the order of the BCSR3 path.  The
+     * conversion runs on the worker that serves the PE (first touch).
      */
     std::vector<sparse::SlicedEll3Matrix> boundary_ell_;
     std::vector<sparse::SlicedEll3Matrix> interior_ell_;
 
     /**
-     * kBcsr3 backend, hierarchical topology only: per-PE copies of the
-     * subdomain stiffness, first-touched by the owning shard's threads
-     * so the dominant kernel stream reads local-domain pages.  Values
-     * are identical to the originals, so results are bitwise unchanged;
-     * empty in the flat engine (kernels read the subdomain matrix).
+     * kBcsr3 backend with more than one shard: per-PE copies of the
+     * subdomain stiffness, first-touched by the serving worker so the
+     * dominant kernel stream reads local-domain pages.  Values are
+     * identical to the originals, so results are bitwise unchanged.
+     * Empty for one shard, whose kernels read the subdomain matrix:
+     * a copy would add the whole matrix to the resident set
+     * (DESIGN.md §13).
      */
     std::vector<sparse::Bcsr3Matrix> local_stiffness_;
 
@@ -280,8 +280,7 @@ class ParallelSmvp
     // Persistent engine state, reused across multiplies.  Mutable so
     // multiply() stays const for callers; the engine is documented as
     // non-reentrant.
-    mutable std::unique_ptr<WorkerPool> outer_pool_; ///< S > 1 only
-    mutable std::vector<std::unique_ptr<WorkerPool>> shard_pools_;
+    mutable std::unique_ptr<WorkerPool> pool_; ///< S x T workers
     mutable std::vector<std::vector<double>> x_local_;
     mutable std::vector<std::vector<double>> y_local_;
     mutable std::vector<std::vector<double>> buffers_;
@@ -292,9 +291,9 @@ class ParallelSmvp
 
     /**
      * Arguments of the multiply/step in flight, stashed as members so
-     * the pool dispatch lambdas capture only `this` (plus a shard
-     * index; small enough for std::function's inline buffer — no
-     * per-step heap allocation).  su_arg_ selects the row finalizer:
+     * the pool dispatch lambdas capture only `this` (small enough for
+     * std::function's inline buffer — no per-step heap allocation).
+     * su_arg_ selects the row finalizer:
      * null = store rows into y_arg_, else advance them through it.
      */
     mutable const double *x_arg_ = nullptr;
@@ -310,15 +309,19 @@ class ParallelSmvp
     mutable std::vector<sparse::StepPartials> step_partials_;
 
     /**
-     * Telemetry slot of worker `tid` of shard `s`: the flat engine
-     * keeps the historical 1 + tid; the hierarchical engine reserves
-     * 1..S for shard control slots and packs workers after them.
+     * Worker w serves shard w / T as thread w % T: its PEs are
+     * firstPe(w), firstPe(w) + T, ... below endPe(w).
      */
-    int teleSlot(int s, int tid) const
+    int firstPe(int w) const
     {
-        return num_shards_ == 1
-                   ? 1 + tid
-                   : 1 + num_shards_ + s * threads_per_shard_ + tid;
+        return shard_begin_[static_cast<std::size_t>(
+                   w / threads_per_shard_)] +
+               w % threads_per_shard_;
+    }
+    int endPe(int w) const
+    {
+        return shard_begin_[static_cast<std::size_t>(
+            w / threads_per_shard_ + 1)];
     }
 
     /** The stiffness PE i's kernels read (first-touched copy if any). */
@@ -333,20 +336,19 @@ class ParallelSmvp
     /**
      * Allocate and fill PE i's persistent slabs: local vectors,
      * exchange buffers, and the backend's kernel structures.  Called
-     * once per PE at construction — inline for the flat engine, on the
-     * owning shard's worker threads for hierarchical topologies (the
+     * once per PE at construction, on the worker that serves it (the
      * first-touch discipline of DESIGN.md §13).
      */
     void initPeSlabs(int i);
 
     /**
-     * Run the stashed multiply or step: the one place that chooses flat
-     * vs sharded pools and barrier vs overlapped scheduling.
+     * Run the stashed multiply or step: the one place that chooses
+     * barrier vs overlapped scheduling.
      */
     void dispatch() const;
 
-    /** Worker `tid` of shard `s`: phases_arg_, stashed finalizer. */
-    void runWorker(int s, int tid) const;
+    /** Worker w: phases_arg_ with the stashed finalizer. */
+    void runWorker(int w) const;
 
     /**
      * The phase pair, templated on the row finalizer: the local phase
@@ -354,9 +356,9 @@ class ParallelSmvp
      * the owned boundary rows once their peer sums are final.
      */
     template <class Finalize>
-    void runLocalPhase(int s, int tid, const Finalize &fin) const;
+    void runLocalPhase(int w, const Finalize &fin) const;
     template <class Finalize>
-    void runExchangePhase(int s, int tid, const Finalize &fin) const;
+    void runExchangePhase(int w, const Finalize &fin) const;
 
     /**
      * Spin until exchange `peer_flat` publishes the current epoch,

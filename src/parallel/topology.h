@@ -6,7 +6,7 @@
  * inter-node exchange; a flat thread pool erases that distinction on
  * NUMA machines, where every per-PE slab competes for one memory
  * domain.  A Topology maps the simulated PEs onto node-level *shards*
- * — each shard owns a nested pinned worker pool whose threads
+ * — each a pinned block of the engine's one worker pool, whose threads
  * first-touch the shard's slabs so pages land in the local domain —
  * while the boundary exchange runs *between* shards, mirroring the
  * hybrid process x thread decomposition of the MPI+OpenMP SMVP
@@ -16,7 +16,7 @@
  * process affinity mask; tests and CLIs override it with explicit
  * shard x thread specs so results stay deterministic everywhere.  The
  * topology is an execution knob only: the engine is bitwise invariant
- * across every Topology (verify property `engine_hierarchy`).
+ * across every Topology (verify property `engine_invariance`).
  */
 
 #ifndef QUAKE98_PARALLEL_TOPOLOGY_H_

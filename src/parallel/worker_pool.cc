@@ -1,7 +1,5 @@
 #include "parallel/worker_pool.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "parallel/topology.h"
 
@@ -47,18 +45,12 @@ WorkerPool::~WorkerPool()
 }
 
 void
-WorkerPool::setCollector(telemetry::Collector *collector,
-                         int control_slot, int worker_base)
+WorkerPool::setCollector(telemetry::Collector *collector)
 {
-    QUAKE_EXPECT(control_slot >= 0 && worker_base >= 0,
-                 "collector slots must be nonnegative");
     std::lock_guard<std::mutex> lock(mu_);
     if (collector != nullptr)
-        collector->ensureSlots(
-            std::max(control_slot + 1, worker_base + size_));
+        collector->ensureSlots(1 + size_);
     tele_ = collector;
-    control_slot_ = control_slot;
-    worker_base_ = worker_base;
 }
 
 void
@@ -94,7 +86,7 @@ WorkerPool::workerLoop(int tid)
             cv_start_.wait(lock,
                            [&] { return stop_ || epoch_ != seen; });
             if (tele != nullptr && tele == tele_)
-                tele->add(worker_base_ + tid,
+                tele->add(1 + tid,
                           telemetry::Counter::kWorkerWaitNanos,
                           tele->now() - wait0);
             if (stop_)
@@ -142,12 +134,10 @@ WorkerPool::run(const std::function<void(int)> &fn)
     const std::uint64_t t0 = tele->now();
     dispatch(fn);
     const std::uint64_t t1 = tele->now();
-    tele->add(control_slot_, telemetry::Counter::kPoolRuns, 1);
-    tele->observe(control_slot_, telemetry::Hist::kForkJoinNanos,
-                  t1 - t0);
+    tele->add(0, telemetry::Counter::kPoolRuns, 1);
+    tele->observe(0, telemetry::Hist::kForkJoinNanos, t1 - t0);
     if (tele->sampledStep())
-        tele->recordSpan(control_slot_, telemetry::Span::kForkJoin, -1,
-                         t0, t1);
+        tele->recordSpan(0, telemetry::Span::kForkJoin, -1, t0, t1);
 }
 
 } // namespace quake::parallel

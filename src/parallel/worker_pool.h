@@ -9,11 +9,11 @@
  * condition variable between multiplies, so the steady-state dispatch
  * cost is one wake/notify round trip instead of num_threads clone()s.
  *
- * Pools may be nested (DESIGN.md §13): the hierarchical engine runs one
- * outer pool of shards, each of whose workers dispatches into its own
- * inner pool.  WorkerPoolOptions optionally pins each worker to a CPU
- * set so a shard's threads — and the pages they first-touch — stay in
- * one NUMA domain; pinning is advisory (failures counted, never fatal).
+ * The engine runs every shard x thread topology as blocks of one pool
+ * (DESIGN.md §13).  WorkerPoolOptions optionally pins each worker to a
+ * CPU set so a shard's threads — and the pages they first-touch — stay
+ * in one NUMA domain; pinning is advisory (failures counted, never
+ * fatal).
  */
 
 #ifndef QUAKE98_PARALLEL_WORKER_POOL_H_
@@ -101,20 +101,16 @@ class WorkerPool
 
     /**
      * Attach a telemetry collector (DESIGN.md §9): each run() records a
-     * fork/join span + latency histogram on `control_slot`, and each
-     * worker accumulates the nanoseconds it spent parked between
-     * dispatches into Counter::kWorkerWaitNanos on slot
-     * `worker_base + tid`.  The slot parameters let nested pools share
-     * one collector without write collisions (DESIGN.md §13): the
-     * hierarchical engine gives every pool a disjoint slot range.
-     * Setup-time only — must not be called while a run is in flight;
-     * pass nullptr to detach.  Once setCollector(nullptr) returns, no
-     * worker touches the old collector again (parked workers included),
-     * so it may be destroyed before the pool; otherwise the collector
-     * must outlive the pool.
+     * fork/join span + latency histogram on slot 0, and each worker
+     * accumulates the nanoseconds it spent parked between dispatches
+     * into Counter::kWorkerWaitNanos on slot 1 + tid.  Setup-time only
+     * — must not be called while a run is in flight; pass nullptr to
+     * detach.  Once setCollector(nullptr) returns, no worker touches
+     * the old collector again (parked workers included), so it may be
+     * destroyed before the pool; otherwise the collector must outlive
+     * the pool.
      */
-    void setCollector(telemetry::Collector *collector,
-                      int control_slot = 0, int worker_base = 1);
+    void setCollector(telemetry::Collector *collector);
 
   private:
     void workerLoop(int tid);
@@ -123,8 +119,6 @@ class WorkerPool
     void dispatch(const std::function<void(int)> &fn);
 
     telemetry::Collector *tele_ = nullptr;
-    int control_slot_ = 0;
-    int worker_base_ = 1;
 
     int size_ = 1;
     WorkerPoolOptions options_;

@@ -31,12 +31,6 @@ SimulationConfig::validate() const
                  "smvpThreads must be >= 1, or 0 for hardware "
                  "concurrency; got "
                      << smvpThreads);
-    QUAKE_EXPECT(smvpShards >= 1,
-                 "smvpShards must be >= 1, got " << smvpShards);
-    QUAKE_EXPECT(smvpThreadsPerShard >= 0,
-                 "smvpThreadsPerShard must be >= 1, or 0 for an even "
-                 "split of the thread budget; got "
-                     << smvpThreadsPerShard);
     if (!topologySpec.empty())
         parallel::Topology::parse(topologySpec); // throws when malformed
     QUAKE_EXPECT(sampleInterval >= 0,
@@ -179,22 +173,15 @@ makeSimulationEngineWith(const mesh::TetMesh &mesh,
                         partitioner.partition(mesh, config.numPes),
                         config.poisson));
         }
-        // Execution topology (DESIGN.md §13): an explicit spec wins;
-        // otherwise the shard/thread knobs are folded into a Topology
-        // whose single-shard default reproduces the historical flat
-        // engine (smvpThreads as the thread budget) exactly.  None of
-        // this enters the fingerprint: the trajectory is bitwise
-        // invariant across topologies.
-        parallel::Topology topo;
-        if (!config.topologySpec.empty()) {
-            topo = parallel::Topology::parse(config.topologySpec,
-                                             config.pinSmvpThreads);
-        } else {
-            topo.numShards = config.smvpShards;
-            topo.threadsPerShard = config.smvpThreadsPerShard;
-            topo.threadBudget = config.smvpThreads;
-            topo.pin = config.pinSmvpThreads;
-        }
+        // Execution topology (DESIGN.md §13): the spec (default flat)
+        // names the shards, smvpThreads is the thread budget that
+        // topologies without a fixed T divide.  None of this enters
+        // the fingerprint: the trajectory is bitwise invariant across
+        // topologies.
+        parallel::Topology topo = parallel::Topology::parse(
+            config.topologySpec.empty() ? "flat" : config.topologySpec,
+            config.pinSmvpThreads);
+        topo.threadBudget = config.smvpThreads;
         engine.psmvp = std::make_shared<parallel::ParallelSmvp>(
             *engine.problem, topo,
             config.overlapSmvp ? parallel::ExchangeMode::kOverlapped

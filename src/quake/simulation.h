@@ -56,32 +56,25 @@ struct SimulationConfig
     int numPes = 1;
 
     /**
-     * Worker threads for the distributed SMVP engine; 0 = hardware
-     * concurrency (capped at numPes).  Ignored when numPes == 1.
-     * With the default single-shard topology this is the flat thread
-     * count; with shards it becomes the total thread budget divided
-     * across shards (unless smvpThreadsPerShard overrides it).
+     * Thread budget of the distributed SMVP engine; 0 = hardware
+     * concurrency (capped at numPes).  Ignored when numPes == 1.  A
+     * topology with a fixed thread count per shard ("SxT", T > 0)
+     * overrides it; every other topology divides it across shards.
      */
     int smvpThreads = 0;
 
     /**
-     * Hierarchical topology knobs (DESIGN.md §13), distributed runs
-     * only.  smvpShards splits the PEs into contiguous shards — one
-     * nested pinned worker pool each, first-touching its own slabs —
-     * while the boundary exchange runs between shards.
-     * smvpThreadsPerShard sizes each nested pool (0 = divide the
-     * smvpThreads budget evenly); pinSmvpThreads pins shard workers to
-     * their shard's CPUs (advisory; failures are counted, never
-     * fatal).  topologySpec, when non-empty, overrides all three:
-     * "flat", "auto"/"detect" (NUMA detection), or "SxT" (e.g. "2x4").
+     * Execution topology (DESIGN.md §13), distributed runs only.
+     * topologySpec names it: "" or "flat" (one shard), "auto"/"detect"
+     * (one shard per NUMA domain), or "SxT" (e.g. "2x4"; T = 0 divides
+     * smvpThreads).  pinSmvpThreads pins each shard's workers to its
+     * CPUs (advisory; failures are counted, never fatal).
      *
      * Like smvpThreads/overlapSmvp/fusedStep these are execution knobs
      * only — the trajectory is bitwise invariant across every topology
-     * (verify property `engine_hierarchy`) — so none of them enter the
+     * (verify property `engine_invariance`) — so neither enters the
      * checkpoint fingerprint.
      */
-    int smvpShards = 1;
-    int smvpThreadsPerShard = 0;
     bool pinSmvpThreads = false;
     std::string topologySpec;
 
@@ -151,12 +144,10 @@ struct SimulationConfig
     /**
      * Reject invalid field combinations (FatalError naming the field):
      * positive finite duration/cflSafety, poisson in [0, 0.5),
-     * dampingA0 >= 0, numPes >= 1, smvpThreads >= 0, smvpShards >= 1,
-     * smvpThreadsPerShard >= 0, a parseable topologySpec,
-     * sampleInterval >= 0, maxSteps >= 0.  runSimulation calls this on
-     * entry; CLI front
-     * ends call it right after argument parsing so a bad flag fails
-     * before any mesh is generated.
+     * dampingA0 >= 0, numPes >= 1, smvpThreads >= 0, a parseable
+     * topologySpec, sampleInterval >= 0, maxSteps >= 0.  runSimulation
+     * calls this on entry; CLI front ends call it right after argument
+     * parsing so a bad flag fails before any mesh is generated.
      */
     void validate() const;
 };

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "parallel/worker_pool.h"
 
 namespace quake::resilience
 {
@@ -96,7 +97,7 @@ RunSupervisor::supervise(const AttemptFn &attempt, int initialThreads)
                  "initialThreads must be >= 0, got " << initialThreads);
     int threads = initialThreads > 0
                       ? initialThreads
-                      : std::max(1u, std::thread::hardware_concurrency());
+                      : parallel::WorkerPool::hardwareThreads();
 
     RunOutcome outcome;
     Heartbeat hb;

@@ -171,10 +171,10 @@ class RunSupervisor
     explicit RunSupervisor(SupervisorOptions options, SleepFn sleep = {});
 
     /**
-     * Supervise `attempt` starting with `initialThreads` (0 = hardware
-     * concurrency).  Never throws on attempt failure — the outcome
-     * carries the last error; configuration errors (bad options) still
-     * throw FatalError.
+     * Supervise `attempt` starting with `initialThreads` (0 = the CPUs
+     * in the affinity mask, as the engine sizes a 0 budget).  Never
+     * throws on attempt failure — the outcome carries the last error;
+     * configuration errors (bad options) still throw FatalError.
      */
     RunOutcome supervise(const AttemptFn &attempt, int initialThreads);
 

@@ -185,7 +185,7 @@ struct ScenarioResult
     /** Eq. (1) model prediction the admission decision used (s). */
     double predictedSeconds = 0.0;
 
-    /** Worker threads the engine ran with. */
+    /** Worker threads the engine ran with (1 when sequential). */
     int threadsUsed = 0;
 
     /** Executor lane that ran it; -1 = never executed. */

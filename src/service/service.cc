@@ -14,6 +14,7 @@
 #include "common/bench_json.h"
 #include "common/error.h"
 #include "parallel/characterize.h"
+#include "parallel/parallel_smvp.h"
 #include "parallel/worker_pool.h"
 #include "partition/geometric_bisection.h"
 #include "resilience/checkpoint.h"
@@ -349,7 +350,6 @@ ScenarioService::Impl::execute(const ScenarioRequest &request,
     sim::SimulationConfig config = request.toSimConfig();
     config.smvpThreads = span ? totalThreads : lane_threads;
     result.spanned = span;
-    result.threadsUsed = config.smvpThreads;
 
     const SteadyClock::time_point step_t0 = SteadyClock::now();
     std::shared_lock<std::shared_mutex> packed(packMu, std::defer_lock);
@@ -363,6 +363,7 @@ ScenarioService::Impl::execute(const ScenarioRequest &request,
     sim::SimulationEngine engine = sim::makeSimulationEngineWith(
         generated->mesh, *model, config, prefix);
     result.engineFingerprint = engine.fingerprint;
+    result.threadsUsed = engine.psmvp ? engine.psmvp->numThreads() : 1;
 
     // --- admission: Eq. (1) prediction vs the SLO (DESIGN.md §14) ---
     if (opt.modelMflops > 0) {
@@ -652,12 +653,12 @@ ScenarioService::runStandalone(const ScenarioRequest &request)
     sim::SimulationEngine engine =
         sim::makeSimulationEngine(generated.mesh, *model, config);
     result.engineFingerprint = engine.fingerprint;
+    result.threadsUsed = engine.psmvp ? engine.psmvp->numThreads() : 1;
     result.report.dt = engine.dt;
     const SteadyClock::time_point t0 = SteadyClock::now();
     sim::advanceSimulation(engine, config, result.report);
     result.stepSeconds = secondsSince(t0);
     result.completed = true;
-    result.threadsUsed = config.smvpThreads;
     result.stateFingerprint =
         finalStateFingerprint(engine, result.report);
     return result;

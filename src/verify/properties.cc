@@ -267,13 +267,20 @@ propFusedVsUnfused(const TrialConfig &cfg)
 }
 
 // ---------------------------------------------------------------------------
-// Property: the distributed engine is bitwise invariant across thread
-// counts and exchange modes, ULP-consistent with the global assembly,
-// and its fused step equals its multiply + the reference triad.
+// Property: the distributed engine is invariant across its execution
+// knobs.  For each kernel backend it is bitwise equal to its own flat
+// 1-thread barrier reference at every flat thread count and shard x
+// thread topology — pinned, and pinned to CPUs that cannot exist, so
+// every pin takes the advisory-failure fallback — in both exchange
+// modes; multiplyInto equals multiply; stepFused equals the reference's
+// multiply + the reference triad, with partials stable across configs.
+// Each reference is ULP-close to the global assembly, and the two
+// backends agree within the mixed oracle (FMA contraction on the AVX2
+// ELL path is their only legal difference).
 // ---------------------------------------------------------------------------
 
 PropertyResult
-propEngineBitwise(const TrialConfig &cfg)
+propEngineInvariance(const TrialConfig &cfg)
 {
     InputGen gen(cfg.seed, cfg.size);
     GeneratedSystem sys = gen.randomSystem();
@@ -288,74 +295,131 @@ propEngineBitwise(const TrialConfig &cfg)
     StepFixture fx = StepFixture::make(gen, n, sys.lumpedMass, sys.dt);
     fx.u = x; // the fused step's x is the multiply's x
 
-    std::vector<double> yFirst;
-    std::vector<double> upRef;
-    sparse::StepPartials pRef;
-    bool first = true;
-    sparse::StepPartials pFirst;
-
-    for (parallel::ExchangeMode mode :
-         {parallel::ExchangeMode::kBarrier,
-          parallel::ExchangeMode::kOverlapped})
+    // Flat at each configured thread count, then shards x threads per
+    // shard (shards clamp to the PE count on small partitions — also
+    // under test).
+    struct Config
     {
-        for (int t : cfg.threads)
-        {
-            const parallel::ParallelSmvp engine(problem, t, mode);
-            const std::vector<double> y = engine.multiply(x);
-            const char *mname =
-                mode == parallel::ExchangeMode::kBarrier ? "barrier"
-                                                         : "overlapped";
-            if (first)
-            {
-                std::string why;
-                if (!withinMixedTolerance(refGlobal, y, kUlpBound, kRelEps,
-                                          &why))
-                    return fail("engine vs global assembly: " + why);
-                yFirst = y;
-                // Engine contract: stepFused's u_{n+1} == engine
-                // multiply + the unfused reference triad, bitwise.
-                upRef = fx.up0;
-                sparse::applyStepUpdateRange(fx.su(upRef.data()),
-                                             yFirst.data(), 0, n, pRef);
-            }
-            else if (!bitwiseEqual(yFirst, y))
-            {
-                return fail(std::string("engine multiply varies (") +
-                            mname + ", " + std::to_string(t) +
-                            " threads)");
-            }
-
-            std::vector<double> y2(static_cast<std::size_t>(n));
-            engine.multiplyInto(x.data(), y2.data());
-            if (!bitwiseEqual(yFirst, y2))
-                return fail(std::string("multiplyInto != multiply (") +
-                            mname + ", " + std::to_string(t) +
-                            " threads)");
-
-            std::vector<double> upT = fx.up0;
-            const sparse::StepPartials pT =
-                engine.stepFused(fx.su(upT.data()));
-            if (!bitwiseEqual(upRef, upT))
-                return fail(std::string("stepFused u_{n+1} != multiply + "
-                                        "triad (") +
-                            mname + ", " + std::to_string(t) +
-                            " threads)");
-            if (first)
-            {
-                pFirst = pT;
-                first = false;
-            }
-            else if (!bitEq(pFirst.peak, pT.peak) ||
-                     !bitEq(pFirst.energy, pT.energy))
-            {
-                return fail("stepFused partials vary across configs");
-            }
-            if (!bitEq(pRef.peak, pT.peak))
-                return fail("stepFused peak != reference triad peak");
-            if (!scalarClose(pRef.energy, pT.energy))
-                return fail("stepFused energy drifted from reference");
-        }
+        std::string label;
+        parallel::Topology topo;
+        bool bogusCpus;
+    };
+    std::vector<Config> configs;
+    for (int t : cfg.threads)
+        configs.push_back({"flat " + std::to_string(t),
+                           parallel::Topology::flat(t), false});
+    struct Grid
+    {
+        int shards;
+        int tps;
+        bool pin;
+        bool bogusCpus;
+    };
+    for (const Grid &g : {Grid{1, 3, false, false}, Grid{2, 1, false, false},
+                          Grid{2, 2, false, false}, Grid{4, 1, false, false},
+                          Grid{4, 3, false, false}, Grid{2, 2, true, false},
+                          Grid{2, 2, true, true}})
+    {
+        parallel::Topology topo =
+            parallel::Topology::uniform(g.shards, g.tps, g.pin);
+        if (g.bogusCpus)
+            topo.shardCpus.assign(static_cast<std::size_t>(g.shards),
+                                  {1 << 20});
+        configs.push_back(
+            {std::to_string(g.shards) + "x" + std::to_string(g.tps) +
+                 (g.bogusCpus ? " bogus-pin" : g.pin ? " pinned" : ""),
+             std::move(topo), g.bogusCpus});
     }
+
+    std::vector<std::vector<double>> yBackend;
+    for (parallel::SmvpKernelBackend backend :
+         {parallel::SmvpKernelBackend::kBcsr3,
+          parallel::SmvpKernelBackend::kSlicedEll3})
+    {
+        const std::string bname =
+            backend == parallel::SmvpKernelBackend::kBcsr3 ? "bcsr3"
+                                                           : "ell";
+        const parallel::ParallelSmvp ref(
+            problem, 1, parallel::ExchangeMode::kBarrier, backend);
+        const std::vector<double> yRef = ref.multiply(x);
+        std::string why;
+        if (!withinMixedTolerance(refGlobal, yRef, kUlpBound, kRelEps,
+                                  &why))
+            return fail(bname + " engine vs global assembly: " + why);
+        std::vector<double> upRef = fx.up0;
+        sparse::StepPartials pRef;
+        sparse::applyStepUpdateRange(fx.su(upRef.data()), yRef.data(), 0,
+                                     n, pRef);
+
+        bool first = true;
+        sparse::StepPartials pFirst;
+        for (parallel::ExchangeMode mode :
+             {parallel::ExchangeMode::kBarrier,
+              parallel::ExchangeMode::kOverlapped})
+        {
+            for (const Config &c : configs)
+            {
+                const parallel::ParallelSmvp engine(problem, c.topo, mode,
+                                                    backend);
+                const std::string label =
+                    " (" + bname +
+                    (mode == parallel::ExchangeMode::kBarrier
+                         ? " barrier "
+                         : " overlapped ") +
+                    c.label + ")";
+
+                if (engine.numShards() < 1 ||
+                    engine.numShards() > problem.numPes() ||
+                    engine.threadsPerShard() < 1)
+                    return fail("topology normalization out of range" +
+                                label);
+                if (c.bogusCpus && engine.numThreads() > 1 &&
+                    engine.pinFailures() != engine.numThreads())
+                    return fail("bogus-CPU pins: " +
+                                std::to_string(engine.pinFailures()) +
+                                " failures for " +
+                                std::to_string(engine.numThreads()) +
+                                " workers" + label);
+
+                if (!bitwiseEqual(yRef, engine.multiply(x)))
+                    return fail("engine multiply != reference" + label);
+                std::vector<double> y2(static_cast<std::size_t>(n));
+                engine.multiplyInto(x.data(), y2.data());
+                if (!bitwiseEqual(yRef, y2))
+                    return fail("multiplyInto != reference" + label);
+
+                std::vector<double> upT = fx.up0;
+                const sparse::StepPartials pT =
+                    engine.stepFused(fx.su(upT.data()));
+                if (!bitwiseEqual(upRef, upT))
+                    return fail("stepFused u_{n+1} != multiply + triad" +
+                                label);
+                if (first)
+                {
+                    pFirst = pT;
+                    first = false;
+                }
+                else if (!bitEq(pFirst.peak, pT.peak) ||
+                         !bitEq(pFirst.energy, pT.energy))
+                {
+                    return fail("stepFused partials vary across configs" +
+                                label);
+                }
+                if (!bitEq(pRef.peak, pT.peak))
+                    return fail("stepFused peak != reference triad peak" +
+                                label);
+                if (!scalarClose(pRef.energy, pT.energy))
+                    return fail("stepFused energy drifted from reference" +
+                                label);
+            }
+        }
+        yBackend.push_back(yRef);
+    }
+
+    std::string why;
+    if (!withinMixedTolerance(yBackend[0], yBackend[1], kUlpBound, kRelEps,
+                              &why))
+        return fail("ELL backend vs BCSR3 backend: " + why);
     return ok();
 }
 
@@ -1321,240 +1385,6 @@ propSlicedEll3Differential(const TrialConfig &cfg)
     return ok();
 }
 
-// ---------------------------------------------------------------------------
-// Property: the distributed engine on the sliced-ELL backend keeps the
-// same invariants as the BCSR3 backend — bitwise invariant across
-// thread counts and exchange modes, fused == multiply + triad bitwise —
-// and the two backends agree within the mixed oracle.
-// ---------------------------------------------------------------------------
-
-PropertyResult
-propEngineBackendEll(const TrialConfig &cfg)
-{
-    InputGen gen(cfg.seed, cfg.size);
-    GeneratedSystem sys = gen.randomSystem();
-    const int parts = gen.randomPartCount(sys.mesh);
-    const partition::Partition part = gen.randomPartition(sys.mesh, parts);
-    const parallel::DistributedProblem problem =
-        parallel::distribute(sys.mesh, *sys.model, part);
-    const std::int64_t n = 3 * problem.numGlobalNodes;
-
-    const std::vector<double> x = gen.randomVector(n);
-    const std::vector<double> refGlobal = sys.stiffness.multiply(x);
-    StepFixture fx = StepFixture::make(gen, n, sys.lumpedMass, sys.dt);
-    fx.u = x; // the fused step's x is the multiply's x
-
-    std::vector<double> yFirst;
-    std::vector<double> upRef;
-    sparse::StepPartials pRef;
-    bool first = true;
-    sparse::StepPartials pFirst;
-
-    for (parallel::ExchangeMode mode :
-         {parallel::ExchangeMode::kBarrier,
-          parallel::ExchangeMode::kOverlapped})
-    {
-        for (int t : cfg.threads)
-        {
-            const parallel::ParallelSmvp engine(
-                problem, t, mode, parallel::SmvpKernelBackend::kSlicedEll3);
-            const std::vector<double> y = engine.multiply(x);
-            const char *mname =
-                mode == parallel::ExchangeMode::kBarrier ? "barrier"
-                                                         : "overlapped";
-            if (first)
-            {
-                std::string why;
-                if (!withinMixedTolerance(refGlobal, y, kUlpBound, kRelEps,
-                                          &why))
-                    return fail("ELL engine vs global assembly: " + why);
-                yFirst = y;
-                upRef = fx.up0;
-                sparse::applyStepUpdateRange(fx.su(upRef.data()),
-                                             yFirst.data(), 0, n, pRef);
-            }
-            else if (!bitwiseEqual(yFirst, y))
-            {
-                return fail(std::string("ELL engine multiply varies (") +
-                            mname + ", " + std::to_string(t) +
-                            " threads)");
-            }
-
-            std::vector<double> y2(static_cast<std::size_t>(n));
-            engine.multiplyInto(x.data(), y2.data());
-            if (!bitwiseEqual(yFirst, y2))
-                return fail(std::string("ELL multiplyInto != multiply (") +
-                            mname + ", " + std::to_string(t) +
-                            " threads)");
-
-            std::vector<double> upT = fx.up0;
-            const sparse::StepPartials pT =
-                engine.stepFused(fx.su(upT.data()));
-            if (!bitwiseEqual(upRef, upT))
-                return fail(std::string("ELL stepFused u_{n+1} != "
-                                        "multiply + triad (") +
-                            mname + ", " + std::to_string(t) +
-                            " threads)");
-            if (first)
-            {
-                pFirst = pT;
-                first = false;
-            }
-            else if (!bitEq(pFirst.peak, pT.peak) ||
-                     !bitEq(pFirst.energy, pT.energy))
-            {
-                return fail("ELL stepFused partials vary across configs");
-            }
-            if (!bitEq(pRef.peak, pT.peak))
-                return fail("ELL stepFused peak != reference triad peak");
-            if (!scalarClose(pRef.energy, pT.energy))
-                return fail("ELL stepFused energy drifted from reference");
-        }
-    }
-
-    // Cross-backend: the two kernel backends may legally differ (FMA
-    // contraction on the AVX2 path) but only within the mixed oracle.
-    const parallel::ParallelSmvp bcsr(problem, cfg.threads.front(),
-                                      parallel::ExchangeMode::kBarrier,
-                                      parallel::SmvpKernelBackend::kBcsr3);
-    std::string why;
-    if (!withinMixedTolerance(bcsr.multiply(x), yFirst, kUlpBound, kRelEps,
-                              &why))
-        return fail("ELL backend vs BCSR3 backend: " + why);
-    return ok();
-}
-
-// ---------------------------------------------------------------------------
-// Property: the hierarchical (shard x thread) engine is bitwise equal
-// to the flat engine across shard counts, threads per shard, exchange
-// modes, and fused/unfused — including pinned topologies, whose pins
-// may fail (advisory) without perturbing a single bit.
-// ---------------------------------------------------------------------------
-
-PropertyResult
-propEngineHierarchy(const TrialConfig &cfg)
-{
-    InputGen gen(cfg.seed, cfg.size);
-    GeneratedSystem sys = gen.randomSystem();
-    const int parts = gen.randomPartCount(sys.mesh);
-    const partition::Partition part = gen.randomPartition(sys.mesh, parts);
-    const parallel::DistributedProblem problem =
-        parallel::distribute(sys.mesh, *sys.model, part);
-    const std::int64_t n = 3 * problem.numGlobalNodes;
-
-    const std::vector<double> x = gen.randomVector(n);
-    const std::vector<double> refGlobal = sys.stiffness.multiply(x);
-    StepFixture fx = StepFixture::make(gen, n, sys.lumpedMass, sys.dt);
-    fx.u = x; // the fused step's x is the multiply's x
-
-    // Flat single-thread reference: the trajectory every topology must
-    // reproduce bit for bit.
-    const parallel::ParallelSmvp flat(problem, 1,
-                                      parallel::ExchangeMode::kBarrier);
-    const std::vector<double> yRef = flat.multiply(x);
-    {
-        std::string why;
-        if (!withinMixedTolerance(refGlobal, yRef, kUlpBound, kRelEps,
-                                  &why))
-            return fail("flat engine vs global assembly: " + why);
-    }
-    std::vector<double> upRef = fx.up0;
-    sparse::StepPartials pRef;
-    sparse::applyStepUpdateRange(fx.su(upRef.data()), yRef.data(), 0, n,
-                                 pRef);
-
-    // Shard x thread grid from the ISSUE: 1/2/4 shards x 1-4 threads
-    // per shard (shards clamp to the PE count on small partitions —
-    // also under test).  The last config pins to a CPU id that cannot
-    // exist, forcing every pin through the advisory-failure fallback.
-    struct Topo
-    {
-        int shards;
-        int tps;
-        bool pin;
-        bool bogus_cpus;
-    };
-    const Topo grid[] = {
-        {1, 1, false, false}, {1, 3, false, false}, {2, 1, false, false},
-        {2, 2, false, false}, {4, 1, false, false}, {4, 3, false, false},
-        {2, 2, true, false},  {2, 2, true, true},
-    };
-
-    for (parallel::ExchangeMode mode :
-         {parallel::ExchangeMode::kBarrier,
-          parallel::ExchangeMode::kOverlapped})
-    {
-        for (const Topo &tp : grid)
-        {
-            parallel::Topology topo =
-                parallel::Topology::uniform(tp.shards, tp.tps, tp.pin);
-            if (tp.bogus_cpus)
-                topo.shardCpus.assign(
-                    static_cast<std::size_t>(tp.shards), {1 << 20});
-            const parallel::ParallelSmvp engine(problem, topo, mode);
-            const std::string label =
-                std::string(mode == parallel::ExchangeMode::kBarrier
-                                ? "barrier "
-                                : "overlapped ") +
-                std::to_string(tp.shards) + "x" + std::to_string(tp.tps) +
-                (tp.bogus_cpus ? " bogus-pin" : tp.pin ? " pinned" : "");
-
-            if (engine.numShards() < 1 ||
-                engine.numShards() > problem.numPes() ||
-                engine.threadsPerShard() < 1)
-                return fail("topology normalization out of range (" +
-                            label + ")");
-            if (tp.bogus_cpus && engine.numShards() > 1 &&
-                engine.pinFailures() == 0)
-                return fail("bogus-CPU pins reported no failure (" +
-                            label + ")");
-
-            const std::vector<double> y = engine.multiply(x);
-            if (!bitwiseEqual(yRef, y))
-                return fail("hierarchical multiply != flat (" + label +
-                            ")");
-            std::vector<double> y2(static_cast<std::size_t>(n));
-            engine.multiplyInto(x.data(), y2.data());
-            if (!bitwiseEqual(yRef, y2))
-                return fail("hierarchical multiplyInto != flat (" +
-                            label + ")");
-
-            std::vector<double> upT = fx.up0;
-            const sparse::StepPartials pT =
-                engine.stepFused(fx.su(upT.data()));
-            if (!bitwiseEqual(upRef, upT))
-                return fail("hierarchical stepFused u_{n+1} != flat "
-                            "multiply + triad (" +
-                            label + ")");
-            if (!bitEq(pRef.peak, pT.peak))
-                return fail("hierarchical stepFused peak != reference (" +
-                            label + ")");
-            if (!scalarClose(pRef.energy, pT.energy))
-                return fail("hierarchical stepFused energy drifted (" +
-                            label + ")");
-        }
-    }
-
-    // The ELL backend must obey the same hierarchy invariance within
-    // itself (its bits legally differ from BCSR3's by ULPs only).
-    const parallel::ParallelSmvp ellFlat(
-        problem, 1, parallel::ExchangeMode::kBarrier,
-        parallel::SmvpKernelBackend::kSlicedEll3);
-    const std::vector<double> yEll = ellFlat.multiply(x);
-    {
-        std::string why;
-        if (!withinMixedTolerance(yRef, yEll, kUlpBound, kRelEps, &why))
-            return fail("ELL flat vs BCSR3 flat: " + why);
-    }
-    const parallel::ParallelSmvp ellHier(
-        problem, parallel::Topology::uniform(2, 2),
-        parallel::ExchangeMode::kOverlapped,
-        parallel::SmvpKernelBackend::kSlicedEll3);
-    if (!bitwiseEqual(yEll, ellHier.multiply(x)))
-        return fail("hierarchical ELL multiply != flat ELL");
-    return ok();
-}
-
 /**
  * The serving-mode contract (DESIGN.md §14): a scenario executed
  * through the multi-tenant service — queued, prefix-cached,
@@ -1794,10 +1624,11 @@ allProperties()
          "fused step == unfused SMVP + reference triad, bitwise, on all "
          "fused backends",
          propFusedVsUnfused},
-        {"engine_bitwise",
-         "ParallelSmvp bitwise invariant across 1/2/4/8 threads and "
-         "barrier/overlapped modes",
-         propEngineBitwise},
+        {"engine_invariance",
+         "ParallelSmvp bitwise invariant per backend across flat thread "
+         "counts, shard x thread topologies, (failing) pins, and both "
+         "exchange modes; fused == multiply + triad; ULP across backends",
+         propEngineInvariance},
         {"symmetry_bilinear", "x'Ky == y'Kx on assembled and random SPD K",
          propSymmetryBilinear},
         {"determinism_rerun",
@@ -1836,15 +1667,6 @@ allProperties()
          "sliced-ELL conversion round-trips BCSR3 at every slice "
          "height; multiply matches CSR; fused path bitwise",
          propSlicedEll3Differential},
-        {"engine_backend_ell",
-         "distributed sliced-ELL backend bitwise invariant across "
-         "threads/modes, fused == multiply + triad, ULP vs BCSR3",
-         propEngineBackendEll},
-        {"engine_hierarchy",
-         "hierarchical shard x thread engine bitwise equal to the flat "
-         "engine across 1/2/4 shards, 1-4 threads/shard, both exchange "
-         "modes, fused/unfused, and (failing) pins",
-         propEngineHierarchy},
         {"service_scenario_bitwise",
          "a scenario served through the multi-tenant service (queue, "
          "prefix cache, single-flight, packing) is bitwise identical "

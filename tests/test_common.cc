@@ -365,7 +365,6 @@ using quake::common::parseEngineCli;
 TEST(EngineCli, DefaultsWhenNoFlags)
 {
     const EngineCliOptions cli = parseEngineCli(makeArgs({}));
-    EXPECT_EQ(cli.shards, 1);
     EXPECT_FALSE(cli.pin);
     EXPECT_TRUE(cli.topologySpec.empty());
     EXPECT_FALSE(cli.faults);
@@ -377,11 +376,10 @@ TEST(EngineCli, DefaultsWhenNoFlags)
 TEST(EngineCli, ParsesSharedEngineFlags)
 {
     const EngineCliOptions cli = parseEngineCli(makeArgs(
-        {"--shards", "4", "--pin", "--topology", "2x2", "--faults",
-         "--drop-rate", "0.01", "--seed", "99", "--deadline-ms", "250",
+        {"--pin", "--topology", "2x2", "--faults", "--drop-rate",
+         "0.01", "--seed", "99", "--deadline-ms", "250",
          "--retry-budget", "5", "--trace", "t.json", "--metrics",
          "m.json", "--sample-every", "8"}));
-    EXPECT_EQ(cli.shards, 4);
     EXPECT_TRUE(cli.pin);
     EXPECT_EQ(cli.topologySpec, "2x2");
     EXPECT_TRUE(cli.faults);
@@ -397,8 +395,6 @@ TEST(EngineCli, ParsesSharedEngineFlags)
 
 TEST(EngineCli, RejectsBadValues)
 {
-    EXPECT_THROW(parseEngineCli(makeArgs({"--shards", "0"})),
-                 FatalError);
     EXPECT_THROW(
         parseEngineCli(makeArgs({"--faults", "--drop-rate", "1.5"})),
         FatalError);

@@ -20,6 +20,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "common/error.h"
 #include "mesh/generator.h"
 #include "mesh/soil_model.h"
@@ -522,6 +526,45 @@ TEST(RunSupervisor, DegradationCanBeDisabled)
     EXPECT_EQ(out.degradations, 0);
     EXPECT_EQ(thread_budgets, (std::vector<int>{8, 8}));
 }
+
+#ifdef __linux__
+TEST(RunSupervisor, ZeroBudgetFollowsTheAffinityMask)
+{
+    // A 0 budget means the CPUs this thread may run on — what the
+    // engine's WorkerPool sizes a 0 budget to — not the machine's core
+    // count: narrow the mask to one CPU and the attempt sees 1 thread.
+    cpu_set_t original;
+    CPU_ZERO(&original);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+    const int first = [&] {
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &original))
+                return c;
+        return -1;
+    }();
+    ASSERT_GE(first, 0);
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    CPU_SET(first, &narrow);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+
+    resilience::RunSupervisor sup(resilience::SupervisorOptions{},
+                                  [](std::chrono::milliseconds) {});
+    int seen = -1;
+    const resilience::RunOutcome out = sup.supervise(
+        [&](int threads,
+            resilience::Heartbeat &) -> sim::SimulationReport {
+            seen = threads;
+            return {};
+        },
+        0);
+
+    ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+    EXPECT_TRUE(out.succeeded);
+    EXPECT_EQ(seen, 1);
+    EXPECT_EQ(out.finalThreads, 1);
+}
+#endif
 
 TEST(RunSupervisor, WatchdogCancelsASilentAttempt)
 {

@@ -595,6 +595,37 @@ TEST(ScenarioService, DestructorDrainsAcceptedRequests)
     EXPECT_TRUE(r.completed) << r.error;
 }
 
+TEST(ScenarioService, SequentialScenarioReportsOneThread)
+{
+    // A sequential scenario steps on one thread, whatever its lane's
+    // thread slice (2 here) or runStandalone's unset budget.
+    ServiceOptions opt = smallServiceOptions();
+    opt.totalThreads = 2;
+    opt.executors = 1;
+    ScenarioService svc(opt);
+    const ScenarioResult served = svc.submit(smallRequest()).get();
+    ASSERT_TRUE(served.completed) << served.error;
+    EXPECT_EQ(served.threadsUsed, 1);
+    EXPECT_EQ(ScenarioService::runStandalone(smallRequest()).threadsUsed,
+              1);
+}
+
+TEST(ScenarioService, TopologyHintReportsTheEngineThreads)
+{
+    // A "2x2" hint runs 2 shards of 2 threads: 4, not the lane's 2.
+    ServiceOptions opt = smallServiceOptions();
+    opt.totalThreads = 2;
+    opt.executors = 1;
+    ScenarioRequest req = smallRequest();
+    req.numPes = 4;
+    req.maxSteps = 4;
+    req.topologyHint = "2x2";
+    ScenarioService svc(opt);
+    const ScenarioResult served = svc.submit(req).get();
+    ASSERT_TRUE(served.completed) << served.error;
+    EXPECT_EQ(served.threadsUsed, 4);
+}
+
 TEST(ScenarioService, DistributedScenarioMatchesStandalone)
 {
     ScenarioRequest req = smallRequest();

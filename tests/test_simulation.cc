@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "mesh/generator.h"
+#include "parallel/parallel_smvp.h"
 #include "quake/simulation.h"
 
 namespace
@@ -98,6 +99,21 @@ TEST(Simulation, DistributedMatchesSequential)
         EXPECT_NEAR(seq.samples[i].kineticEnergy,
                     par.samples[i].kineticEnergy,
                     1e-6 * (1.0 + seq.samples[i].kineticEnergy));
+}
+
+TEST(Simulation, TopologySpecKeepsTheThreadBudget)
+{
+    // A named topology still divides smvpThreads: "flat" with a
+    // 1-thread budget runs one worker, not every affinity CPU.
+    SmallProblem p;
+    SimulationConfig config = smallConfig();
+    config.numPes = 8;
+    config.topologySpec = "flat";
+    config.smvpThreads = 1;
+    const SimulationEngine engine =
+        makeSimulationEngine(p.mesh, p.model, config);
+    ASSERT_NE(engine.psmvp, nullptr);
+    EXPECT_EQ(engine.psmvp->numThreads(), 1);
 }
 
 TEST(Simulation, MaxStepsCapsRun)

@@ -4,8 +4,9 @@
  * parsing, spec parsing/validation/detection, the engine's topology
  * normalization (shard clamping, thread capping), and the bitwise
  * hierarchical == flat contract across shard counts, exchange modes,
- * the fused step, and advisory pin failures; and that a collector
- * detach reaches every nested pool.
+ * the fused step, and advisory pin failures; that every topology runs
+ * on one pool of shards x threads workers; and that a collector detach
+ * reaches every worker.
  */
 
 #include <gtest/gtest.h>
@@ -238,6 +239,21 @@ TEST(HierarchicalEngine, BogusPinFailsOpenAndStaysBitwise)
     EXPECT_EQ(engine.multiply(f.x), y_ref);
 }
 
+TEST(HierarchicalEngine, OnePoolPinsEachWorkerOnce)
+{
+    // 2 shards x 2 threads are 4 workers of one pool, and each pins
+    // itself once: 4 attempts, all failing on a CPU id that cannot
+    // exist — no extra per-shard threads, no extra pins.
+    HierarchyFixture f;
+    Topology topo = Topology::uniform(2, 2, /*pin=*/true);
+    topo.shardCpus.assign(2, {1 << 20});
+    const ParallelSmvp engine(f.problem, topo);
+    EXPECT_EQ(engine.numThreads(), 4);
+    EXPECT_EQ(engine.workerPool().size(), 4);
+    EXPECT_EQ(engine.workerPool().pinAttempts(), 4);
+    EXPECT_EQ(engine.pinFailures(), 4);
+}
+
 TEST(HierarchicalEngine, TrafficClassificationIsConsistent)
 {
     HierarchyFixture f;
@@ -256,9 +272,9 @@ TEST(HierarchicalEngine, TrafficClassificationIsConsistent)
 
 TEST(HierarchicalEngine, DetachedCollectorIsNeverTouchedAgain)
 {
-    // setCollector(nullptr) must reach the outer pool and every shard
-    // pool: once it returns, tearing the engine down — which wakes
-    // every parked worker of every pool — records nothing more.
+    // setCollector(nullptr) must reach every worker of every shard:
+    // once it returns, tearing the engine down — which wakes every
+    // parked worker — records nothing more.
     namespace telemetry = quake::telemetry;
     HierarchyFixture f;
     const std::size_t n = f.x.size();
@@ -306,8 +322,8 @@ TEST(HierarchicalEngine, PinnedEngineDestructsCleanlyAfterUse)
         const ParallelSmvp engine(f.problem,
                                   Topology::uniform(2, 2, /*pin=*/true));
         y_first = engine.multiply(f.x);
-        // Destruction with pinned nested pools parked mid-epoch must
-        // join every worker (outer and inner) without hanging.
+        // Destruction with pinned workers of both shards parked
+        // mid-epoch must join every worker without hanging.
     }
     EXPECT_EQ(y_first, ParallelSmvp(f.problem, 1).multiply(f.x));
 }
