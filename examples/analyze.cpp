@@ -35,14 +35,18 @@ main(int argc, char **argv)
             request.mflopsGrid = args.getDoubleList("mflops");
         if (args.has("eff"))
             request.efficiencyGrid = args.getDoubleList("eff");
+        const bool from_paper = args.has("paper");
+        const std::string paper = args.get("paper");
+        const std::string mesh_name = args.get("mesh", "sf10");
+        const double scale = args.getDouble("scale", 1.0);
+        args.rejectUnread();
 
         core::SmvpCharacterization ch;
-        if (args.has("paper")) {
+        if (from_paper) {
             // Build a one-PE-shaped characterization from the
             // published Figure 7 entry (per-PE loads identical; no
             // bisection volume is published).
-            const ref::PaperMesh mesh =
-                ref::paperMeshFromName(args.get("paper"));
+            const ref::PaperMesh mesh = ref::paperMeshFromName(paper);
             const ref::Figure7Entry &entry = ref::figure7(mesh, pes);
             ch.name = ref::paperMeshName(mesh) + "/" +
                       std::to_string(pes) + " (paper)";
@@ -54,10 +58,9 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(pes) * entry.blocksMax / 2,
                 entry.messageAvg);
         } else {
-            const mesh::SfClass cls =
-                mesh::sfClassFromName(args.get("mesh", "sf10"));
-            const mesh::GeneratedMesh generated = mesh::generateSfMesh(
-                cls, args.getDouble("scale", 1.0));
+            const mesh::SfClass cls = mesh::sfClassFromName(mesh_name);
+            const mesh::GeneratedMesh generated =
+                mesh::generateSfMesh(cls, scale);
             const partition::GeometricBisection partitioner;
             const parallel::DistributedProblem problem =
                 parallel::distributeTopology(

@@ -59,20 +59,27 @@ main(int argc, char **argv)
     using namespace quake;
     const common::Args args(argc, argv);
     try {
+        const std::string in = args.get("in");
+        const std::string mesh_name = args.get("mesh", "sf20");
+        const double scale = args.getDouble("scale", 1.0);
+        const int pes = static_cast<int>(args.getInt("pes", 16));
+        const std::string method = args.get("method", "inertial");
+        const bool polish = args.has("refine");
+        const std::string out = args.get("out");
+        args.rejectUnread();
+
         // --- 1. Obtain the mesh. ---
         mesh::TetMesh m;
-        if (args.has("in")) {
-            m = mesh::readMesh(args.get("in"));
+        if (!in.empty()) {
+            m = mesh::readMesh(in);
             m.validate();
-            std::cout << "read mesh '" << args.get("in") << "': "
+            std::cout << "read mesh '" << in << "': "
                       << common::formatCount(m.numNodes()) << " nodes, "
                       << common::formatCount(m.numElements())
                       << " elements\n";
         } else {
-            const mesh::SfClass cls =
-                mesh::sfClassFromName(args.get("mesh", "sf20"));
-            m = mesh::generateSfMesh(cls, args.getDouble("scale", 1.0))
-                    .mesh;
+            const mesh::SfClass cls = mesh::sfClassFromName(mesh_name);
+            m = mesh::generateSfMesh(cls, scale).mesh;
             std::cout << "generated " << mesh::sfClassName(cls) << ": "
                       << common::formatCount(m.numNodes()) << " nodes, "
                       << common::formatCount(m.numElements())
@@ -80,13 +87,11 @@ main(int argc, char **argv)
         }
 
         // --- 2. Partition (+ optional boundary polish). ---
-        const int pes = static_cast<int>(args.getInt("pes", 16));
-        const auto partitioner =
-            makePartitioner(args.get("method", "inertial"));
+        const auto partitioner = makePartitioner(method);
         partition::Partition part = partitioner->partition(m, pes);
         std::cout << "partitioned into " << pes << " subdomains with "
                   << partitioner->name() << "\n";
-        if (args.has("refine")) {
+        if (polish) {
             const partition::BoundaryRefineReport report =
                 partition::refineBoundary(m, part);
             std::cout << "boundary refinement: " << report.moves
@@ -126,12 +131,11 @@ main(int argc, char **argv)
         t.print(std::cout);
 
         // --- 4. Emit artifacts. ---
-        if (args.has("out")) {
-            const std::string prefix = args.get("out");
-            mesh::writeMesh(m, prefix);
-            partition::writePartition(part, prefix + ".part");
-            std::cout << "\nwrote " << prefix << ".node, " << prefix
-                      << ".ele, " << prefix << ".part\n";
+        if (!out.empty()) {
+            mesh::writeMesh(m, out);
+            partition::writePartition(part, out + ".part");
+            std::cout << "\nwrote " << out << ".node, " << out << ".ele, "
+                      << out << ".part\n";
         }
     } catch (const common::FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";

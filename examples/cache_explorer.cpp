@@ -114,12 +114,15 @@ main(int argc, char **argv)
         const std::vector<double> effs =
             args.has("eff") ? args.getDoubleList("eff")
                             : std::vector<double>{0.5, 0.8, 0.9};
+        const bool grid = args.has("grid");
+        const std::string mesh_name = args.get("mesh", "sf20");
+        const double scale = args.getDouble("scale", 1.0);
+        args.rejectUnread();
 
         // ---- the instance -------------------------------------------
-        const mesh::SfClass cls =
-            mesh::sfClassFromName(args.get("mesh", "sf20"));
+        const mesh::SfClass cls = mesh::sfClassFromName(mesh_name);
         const mesh::GeneratedMesh generated =
-            mesh::generateSfMesh(cls, args.getDouble("scale", 1.0));
+            mesh::generateSfMesh(cls, scale);
         const mesh::LayeredBasinModel model;
         const sparse::Bcsr3Matrix k =
             sparse::assembleStiffness(generated.mesh, model);
@@ -183,7 +186,7 @@ main(int argc, char **argv)
                   << " MFLOPS/PE peak)\n";
 
         // ---- Equation (1) from the co-simulated T_f -----------------
-        if (args.has("grid")) {
+        if (grid) {
             const partition::GeometricBisection partitioner;
             const parallel::DistributedProblem problem =
                 parallel::distributeTopology(

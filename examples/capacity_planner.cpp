@@ -70,6 +70,7 @@ run(int argc, char **argv)
     const long block_words = args.getInt("block-words", 0); // 0 = maximal
     QUAKE_EXPECT(block_words >= 0,
                  "--block-words must be >= 0, got " << block_words);
+    args.rejectUnread();
     parallel::FaultSpec fault_spec;
     if (cli.faults) {
         fault_spec.seed = cli.faultSeed;

@@ -104,6 +104,7 @@ run(int argc, char **argv)
     const common::Args args(argc, argv);
     const std::string mode = args.get("mode", "roundtrip");
     const std::string dir = args.get("dir", "/tmp");
+    args.rejectUnread();
     const std::string path = dir + "/checkpoint_tool_" + mode + ".ckpt";
 
     const mesh::Aabb box{{0, 0, 0}, {4.0, 4.0, 2.0}};

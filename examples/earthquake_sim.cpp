@@ -109,6 +109,9 @@ run(int argc, char **argv)
     QUAKE_EXPECT(resilient.supervisor.stallTimeout.count() >= 0,
                  "--deadline must be >= 0 ms, got "
                      << resilient.supervisor.stallTimeout.count());
+    const double scale = args.getDouble("scale", 1.0);
+    const std::string seismogram_path = args.get("seismogram");
+    args.rejectUnread();
     parallel::FaultSpec fault_spec;
     if (cli.faults) {
         fault_spec.seed = cli.faultSeed;
@@ -129,9 +132,8 @@ run(int argc, char **argv)
 
     // Generate the mesh up front so receiver stations can be placed.
     const mesh::LayeredBasinModel model;
-    const mesh::GeneratedMesh generated = mesh::generateMesh(
-        model,
-        mesh::MeshSpec::forClass(cls, args.getDouble("scale", 1.0)));
+    const mesh::GeneratedMesh generated =
+        mesh::generateMesh(model, mesh::MeshSpec::forClass(cls, scale));
 
     sim::Seismogram record = sim::Seismogram::surfaceLine(
         generated.mesh, 8, model.params().basinCenter.y);
@@ -209,10 +211,9 @@ run(int argc, char **argv)
              common::formatFixed(record.peakAmplitude(s), 6)});
     }
     stations.print(std::cout);
-    if (args.has("seismogram")) {
-        record.write(args.get("seismogram"));
-        std::cout << "wrote traces to " << args.get("seismogram")
-                  << "\n";
+    if (!seismogram_path.empty()) {
+        record.write(seismogram_path);
+        std::cout << "wrote traces to " << seismogram_path << "\n";
     }
 
     if (collector.enabled() && config.numPes > 1) {

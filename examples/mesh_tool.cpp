@@ -6,8 +6,16 @@
  *
  * Usage: mesh_tool generate --mesh sf20 [--scale S] --out prefix
  *        mesh_tool inspect <prefix>
+ *
+ * `generate` first reports the generator's own work: refinement passes
+ * and splits, whether either refinement cap stopped it, how many jitter
+ * moves were accepted and reverted, the wall seconds of generateMesh,
+ * and the process's peak RSS up to that point.
  */
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <iostream>
 
 #include "common/args.h"
@@ -50,6 +58,27 @@ printStats(const quake::mesh::TetMesh &mesh)
     }
 }
 
+void
+printGeneration(const quake::mesh::GeneratedMesh &g, double seconds)
+{
+    using namespace quake;
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const mesh::RefineReport &r = g.refineReport;
+    common::Table t({"generator", "value"});
+    t.addRow({"refinement passes", std::to_string(r.passes)});
+    t.addRow({"edge splits", common::formatCount(r.splits)});
+    t.addRow({"element cap reached", r.reachedElementCap ? "yes" : "no"});
+    t.addRow({"pass cap reached", r.reachedPassCap ? "yes" : "no"});
+    t.addRow({"jitter accepted", common::formatCount(g.jitterAccepted)});
+    t.addRow({"jitter reverted", common::formatCount(g.jitterReverted)});
+    t.addRow({"generateMesh wall (s)", common::formatFixed(seconds, 3)});
+    t.addRow({"peak RSS (MB)", // ru_maxrss is in KiB on Linux
+              common::formatFixed(usage.ru_maxrss / 1024.0, 1)});
+    t.print(std::cout);
+    std::cout << "\n";
+}
+
 } // namespace
 
 int
@@ -66,13 +95,20 @@ main(int argc, char **argv)
 
     try {
         const std::string command = args.positional()[0];
+        const std::string mesh_name = args.get("mesh", "sf20");
+        const double scale = args.getDouble("scale", 1.0);
+        const std::string out = args.get("out", "");
+        args.rejectUnread();
         if (command == "generate") {
-            const mesh::SfClass cls =
-                mesh::sfClassFromName(args.get("mesh", "sf20"));
-            const mesh::GeneratedMesh generated = mesh::generateSfMesh(
-                cls, args.getDouble("scale", 1.0));
+            const mesh::SfClass cls = mesh::sfClassFromName(mesh_name);
+            const auto t0 = std::chrono::steady_clock::now();
+            const mesh::GeneratedMesh generated =
+                mesh::generateSfMesh(cls, scale);
+            printGeneration(generated,
+                            std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
             printStats(generated.mesh);
-            const std::string out = args.get("out", "");
             if (!out.empty()) {
                 mesh::writeMesh(generated.mesh, out);
                 std::cout << "\nwrote " << out << ".node and " << out

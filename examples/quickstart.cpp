@@ -29,6 +29,7 @@ main(int argc, char **argv)
     const mesh::SfClass cls =
         mesh::sfClassFromName(args.get("mesh", "sf20"));
     const int pes = static_cast<int>(args.getInt("pes", 16));
+    args.rejectUnread();
 
     // 1. Generate a graded unstructured tetrahedral mesh of the basin.
     std::cout << "Generating synthetic " << mesh::sfClassName(cls)

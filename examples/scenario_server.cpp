@@ -46,6 +46,11 @@ run(int argc, char **argv)
     using namespace quake;
     const common::Args args(argc, argv);
     const common::EngineCliOptions cli = common::parseEngineCli(args);
+    // The service records counters, not spans, and has no pinning or
+    // retry budget: refuse these shared engine flags, not ignore them.
+    for (const char *flag : {"trace", "sample-every", "pin", "retry-budget"})
+        QUAKE_EXPECT(!args.has(flag),
+                     "--" << flag << " is not supported by scenario_server");
 
     const long scenarios = args.getInt("scenarios", 8);
     const long tenants = args.getInt("tenants", 2);
@@ -80,6 +85,8 @@ run(int argc, char **argv)
     base.numPes = static_cast<int>(args.getInt("pes", 1));
     base.durationSeconds = args.getDouble("duration", 10.0);
     base.maxSteps = args.getInt("max-steps", 40);
+    const bool check = args.has("check");
+    args.rejectUnread();
     base.topologyHint = cli.topologySpec;
     base.faults = cli.faults;
     base.faultDropRate = cli.dropRate;
@@ -167,7 +174,7 @@ run(int argc, char **argv)
         svc.writeTenantMetricsJson("scenario_server", cli.metricsPath);
     }
 
-    if (args.has("check")) {
+    if (check) {
         // The serving-mode contract: the service answer for the first
         // scenario must be bitwise the standalone answer.
         service::ScenarioRequest req = base;

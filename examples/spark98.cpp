@@ -24,6 +24,7 @@ main(int argc, char **argv)
     const mesh::SfClass cls =
         mesh::sfClassFromName(args.get("mesh", "sf10"));
     const int reps = static_cast<int>(args.getInt("reps", 20));
+    args.rejectUnread();
 
     std::cout << "Assembling " << mesh::sfClassName(cls)
               << " stiffness in all formats...\n";

@@ -1,6 +1,7 @@
 #include "common/args.h"
 
 #include <cstdlib>
+#include <utility>
 
 #include "common/error.h"
 
@@ -34,59 +35,69 @@ Args::Args(int argc, const char *const *argv)
         }
         std::string body = arg.substr(2);
         auto eq = body.find('=');
+        std::string name = body.substr(0, eq);
         if (eq != std::string::npos) {
-            options[body.substr(0, eq)] = body.substr(eq + 1);
+            options[name] = body.substr(eq + 1);
         } else if (i + 1 < argc &&
                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            options[body] = argv[++i];
+            options[name] = argv[++i];
         } else {
-            options[body] = "true";
+            options[name] = "true";
         }
+        names.push_back(std::move(name));
     }
+}
+
+const std::string *
+Args::find(const std::string &name) const
+{
+    read.insert(name);
+    auto it = options.find(name);
+    return it == options.end() ? nullptr : &it->second;
 }
 
 bool
 Args::has(const std::string &name) const
 {
-    return options.count(name) > 0;
+    return find(name) != nullptr;
 }
 
 std::string
 Args::get(const std::string &name, const std::string &fallback) const
 {
-    auto it = options.find(name);
-    return it == options.end() ? fallback : it->second;
+    const std::string *value = find(name);
+    return value ? *value : fallback;
 }
 
 long
 Args::getInt(const std::string &name, long fallback) const
 {
-    auto it = options.find(name);
-    if (it == options.end())
+    const std::string *value = find(name);
+    if (!value)
         return fallback;
     char *end = nullptr;
-    long v = std::strtol(it->second.c_str(), &end, 10);
-    QUAKE_EXPECT(end != it->second.c_str() && *end == '\0',
-                 "--" << name << " expects an integer, got '"
-                      << it->second << "'");
+    long v = std::strtol(value->c_str(), &end, 10);
+    QUAKE_EXPECT(end != value->c_str() && *end == '\0',
+                 "--" << name << " expects an integer, got '" << *value
+                      << "'");
     return v;
 }
 
 double
 Args::getDouble(const std::string &name, double fallback) const
 {
-    auto it = options.find(name);
-    return it == options.end() ? fallback : parseNumber(name, it->second);
+    const std::string *value = find(name);
+    return value ? parseNumber(name, *value) : fallback;
 }
 
 std::vector<double>
 Args::getDoubleList(const std::string &name) const
 {
     std::vector<double> values;
-    auto it = options.find(name);
-    if (it == options.end())
+    const std::string *value = find(name);
+    if (!value)
         return values;
-    const std::string &text = it->second;
+    const std::string &text = *value;
     std::size_t begin = 0;
     for (;;) {
         const std::size_t comma = text.find(',', begin);
@@ -96,6 +107,14 @@ Args::getDoubleList(const std::string &name) const
             return values;
         begin = comma + 1;
     }
+}
+
+void
+Args::rejectUnread() const
+{
+    for (const std::string &name : names)
+        if (read.count(name) == 0)
+            fatal("unknown flag --" + name);
 }
 
 } // namespace quake::common

@@ -4,20 +4,28 @@
  *
  * Supports the forms `--flag`, `--key value`, and `--key=value`.  This is
  * deliberately tiny: the harnesses need a handful of switches (mesh class,
- * full-scale toggle, output path), not a framework.
+ * full-scale toggle, output path), not a framework.  The accessors record
+ * every name they are asked for, so a front end that has read all of its
+ * flags can reject the rest (rejectUnread) instead of ignoring a misspelt
+ * or removed one.
  */
 
 #ifndef QUAKE98_COMMON_ARGS_H_
 #define QUAKE98_COMMON_ARGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace quake::common
 {
 
-/** Parsed command line: named options plus positional arguments. */
+/**
+ * Parsed command line: named options plus positional arguments.  The
+ * const accessors record each name they are asked for, so one Args must
+ * not be read from two threads at once.
+ */
 class Args
 {
   public:
@@ -52,9 +60,21 @@ class Args
     /** Positional (non-flag) arguments in order of appearance. */
     const std::vector<std::string> &positional() const { return positionals; }
 
+    /**
+     * Throw FatalError naming the first option, in command-line order,
+     * that no accessor has been asked for ("unknown flag --shards").
+     * Call it once every flag the program takes has been read.
+     */
+    void rejectUnread() const;
+
   private:
+    /** The value of --name, or nullptr; records name as read. */
+    const std::string *find(const std::string &name) const;
+
     std::map<std::string, std::string> options;
+    std::vector<std::string> names; ///< option names in command-line order
     std::vector<std::string> positionals;
+    mutable std::set<std::string> read;
 };
 
 } // namespace quake::common

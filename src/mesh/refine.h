@@ -7,17 +7,27 @@
  * coarse conforming tetrahedral mesh into a graded unstructured mesh whose
  * local element size tracks a user-supplied size field h(p).
  *
- * Algorithm.  Repeated passes of Rivara-style longest-edge bisection:
- *  1. Mark the longest edge of every element whose longest edge exceeds
- *     the size field at the element centroid.
- *  2. Propagate: any element incident to a marked edge that is not its own
- *     longest edge marks its own longest edge too (iterate to fixpoint;
- *     terminates because each newly marked edge is strictly longer).
- *  3. Split marked edges longest-first.  A split inserts the edge midpoint
- *     and bisects *every* incident element, which keeps the mesh conforming
- *     with no hanging nodes.  An edge whose incidence list has been
- *     invalidated by an earlier split in the same pass is deferred to the
+ * Algorithm.  Repeated passes of Rivara-style longest-edge bisection.
+ * Nodes never move during refinement, so each element's verdict -- its
+ * longest edge (ties to the lowest kTetEdges index) and whether that edge
+ * exceeds h(centroid) -- is computed once, at the first pass that sees
+ * the element, and kept in one byte.  Each pass then:
+ *  1. Indexes the live elements by node; an edge's incident elements are
+ *     the intersection of its endpoints' sorted lists.
+ *  2. Marks the longest edge of every oversized element and propagates
+ *     with a worklist: an element incident to a marked edge marks its own
+ *     longest edge too.  This is the closure a sweep to a fixpoint would
+ *     reach; it terminates because an element is queued at most once.
+ *  3. Splits marked edges longest-first (ties by ascending node pair).  A
+ *     split inserts the edge midpoint and bisects *every* incident
+ *     element, which keeps the mesh conforming with no hanging nodes.  An
+ *     edge with an element already bisected this pass is deferred to the
  *     next pass.
+ *  4. Drops the bisected elements with a stable compaction, so elements
+ *     stay in creation order.
+ * A pass therefore costs O(live elements + incidences of marked edges).
+ * The output -- nodes, element order, passes, splits -- is pinned bit for
+ * bit by hashes in test_refine and test_generator.
  */
 
 #ifndef QUAKE98_MESH_REFINE_H_

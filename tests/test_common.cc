@@ -281,6 +281,29 @@ TEST(Args, DoubleListRejectsTrailingGarbage)
                  FatalError);
 }
 
+TEST(Args, RejectsUnreadFlags)
+{
+    const Args args =
+        makeArgs({"run", "--mesh", "sf20", "--shards", "2", "--full",
+                  "--pes=4"});
+    args.get("mesh");
+    args.has("full");
+    args.getInt("pes", 1);
+    args.getDouble("scale", 1.0); // absent: asking still counts
+    try {
+        args.rejectUnread();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "unknown flag --shards");
+    }
+    args.getInt("shards", 1);
+    EXPECT_NO_THROW(args.rejectUnread());
+    // Positionals are not flags; a list read counts like any other.
+    const Args list = makeArgs({"inspect", "--eff", "0.9,0.8"});
+    list.getDoubleList("eff");
+    EXPECT_NO_THROW(list.rejectUnread());
+}
+
 // ------------------------------------------------------------------- fnv
 
 using quake::common::Fnv1aHasher;

@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/fnv.h"
 #include "mesh/generator.h"
 
 namespace
@@ -208,6 +209,48 @@ TEST(Generator, HScaleCoarsens)
     const GeneratedMesh fine = generateSfMesh(SfClass::kSf20, 1.0);
     const GeneratedMesh coarse = generateSfMesh(SfClass::kSf20, 1.8);
     EXPECT_LT(coarse.mesh.numNodes(), fine.mesh.numNodes());
+}
+
+/**
+ * The generator's output, pinned bit for bit: an FNV-1a hash over the
+ * node coordinates and then the element vertex lists, plus the refiner's
+ * pass and split counts.  Every later stage (partition, assembly, the
+ * engines) reads these bytes, so a refiner rewrite that keeps these
+ * hashes keeps every downstream result.
+ */
+void
+expectPinnedOutput(SfClass cls, std::int64_t nodes, std::int64_t elements,
+                   int passes, std::int64_t splits, std::uint64_t hash)
+{
+    const LayeredBasinModel model;
+    const GeneratedMesh g = generateMesh(model, MeshSpec::forClass(cls, 1.0));
+    EXPECT_EQ(g.mesh.numNodes(), nodes);
+    EXPECT_EQ(g.mesh.numElements(), elements);
+    EXPECT_EQ(g.refineReport.passes, passes);
+    EXPECT_EQ(g.refineReport.splits, splits);
+    EXPECT_FALSE(g.refineReport.reachedElementCap);
+    EXPECT_FALSE(g.refineReport.reachedPassCap);
+    const std::uint64_t got = quake::common::fnv1aVector(
+        g.mesh.tets(), quake::common::fnv1aVector(g.mesh.nodes()));
+    EXPECT_EQ(got, hash) << std::hex << "got 0x" << got;
+}
+
+TEST(GeneratorPinned, Sf20OutputIsBitwiseStable)
+{
+    expectPinnedOutput(SfClass::kSf20, 1'177, 4'725, 15, 3'525,
+                       0x445db7d5ae441ac7ULL);
+}
+
+TEST(GeneratorPinned, Sf10OutputIsBitwiseStable)
+{
+    expectPinnedOutput(SfClass::kSf10, 5'823, 25'433, 22, 24'233,
+                       0x88dcd2d64d014ae2ULL);
+}
+
+TEST(GeneratorPinned, Sf5OutputIsBitwiseStable)
+{
+    expectPinnedOutput(SfClass::kSf5, 36'704, 168'806, 30, 167'606,
+                       0xfde2efe23e7e5d13ULL);
 }
 
 TEST(Generator, PeriodHalvingMultipliesNodes)

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "common/error.h"
+#include "common/fnv.h"
 #include "mesh/generator.h"
 #include "mesh/refine.h"
 
@@ -70,6 +71,25 @@ maxLongestEdge(const TetMesh &mesh)
     return worst;
 }
 
+/**
+ * Pin the refiner's output bit for bit: FNV-1a over the node coordinates,
+ * then the element vertex lists, plus the report's counts.  The split
+ * order and the element order are part of the contract, so a rewrite of
+ * the refinement pass must reproduce these exactly.
+ */
+void
+expectPinned(const TetMesh &mesh, const RefineReport &report,
+             std::int64_t elements, int passes, std::int64_t splits,
+             std::uint64_t hash)
+{
+    EXPECT_EQ(mesh.numElements(), elements);
+    EXPECT_EQ(report.passes, passes);
+    EXPECT_EQ(report.splits, splits);
+    const std::uint64_t got = quake::common::fnv1aVector(
+        mesh.tets(), quake::common::fnv1aVector(mesh.nodes()));
+    EXPECT_EQ(got, hash) << std::hex << "got 0x" << got;
+}
+
 TetMesh
 unitLattice(int n)
 {
@@ -116,9 +136,10 @@ TEST(Refine, GradedFieldConcentratesElements)
 {
     TetMesh mesh = unitLattice(2);
     // Fine near x = 0, coarse near x = 1.
-    refineToSizeField(mesh, [](const Vec3 &p) {
+    const RefineReport report = refineToSizeField(mesh, [](const Vec3 &p) {
         return 0.08 + 0.6 * p.x;
     });
+    expectPinned(mesh, report, 6'240, 11, 6'192, 0x0ba70afb68a06251ULL);
     expectConforming(mesh);
     mesh.validate();
 
@@ -144,6 +165,7 @@ TEST(Refine, ElementCapStopsCleanly)
     // The cap is approximate (checked per edge split) but must hold to
     // within the worst single-edge fan-out.
     EXPECT_LE(mesh.numElements(), options.maxElements + 64);
+    expectPinned(mesh, report, 40, 3, 34, 0x60b2a9369c81538cULL);
     mesh.validate();
     expectConforming(mesh);
 }
@@ -157,6 +179,7 @@ TEST(Refine, PassCapStopsCleanly)
         mesh, [](const Vec3 &) { return 0.05; }, options);
     EXPECT_EQ(report.passes, 2);
     EXPECT_TRUE(report.reachedPassCap);
+    expectPinned(mesh, report, 24, 2, 18, 0xec7d7ef798956064ULL);
     mesh.validate();
     expectConforming(mesh);
 }
@@ -167,6 +190,22 @@ TEST(Refine, RejectsNonPositiveSizeField)
     EXPECT_THROW(
         refineToSizeField(mesh, [](const Vec3 &) { return 0.0; }),
         quake::common::FatalError);
+}
+
+TEST(Refine, SizeFieldCheckedWhenAPassFirstSeesAnElement)
+{
+    // Non-positive only where children of the first pass land: with one
+    // pass allowed those children are never evaluated, so nothing is
+    // raised; a second pass evaluates them and must refuse the field.
+    const auto h = [](const Vec3 &p) { return p.x < 0.2 ? -1.0 : 0.1; };
+    RefineOptions options;
+    options.maxPasses = 1;
+    TetMesh once = unitLattice(1);
+    EXPECT_TRUE(refineToSizeField(once, h, options).reachedPassCap);
+    options.maxPasses = 2;
+    TetMesh twice = unitLattice(1);
+    EXPECT_THROW(refineToSizeField(twice, h, options),
+                 quake::common::FatalError);
 }
 
 TEST(Refine, QualityStaysBounded)
