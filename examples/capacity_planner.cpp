@@ -57,6 +57,11 @@ run(int argc, char **argv)
     namespace ref = core::reference;
     const common::Args args(argc, argv);
     const common::EngineCliOptions cli = common::parseEngineCli(args);
+    // The planner runs no engine, so it has no spans or metrics to
+    // write: refuse these shared engine flags, not ignore them.
+    for (const char *flag : {"trace", "metrics", "sample-every"})
+        QUAKE_EXPECT(!args.has(flag),
+                     "--" << flag << " is not supported by capacity_planner");
 
     // customMachine validates the hardware description (positive rate,
     // non-negative latency, positive bandwidth); the fault spec, when

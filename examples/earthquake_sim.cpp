@@ -49,6 +49,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "common/args.h"
 #include "common/engine_cli.h"
@@ -73,6 +74,16 @@ run(int argc, char **argv)
     using namespace quake;
     const common::Args args(argc, argv);
     const common::EngineCliOptions cli = common::parseEngineCli(args);
+    // The supervised run spells its watchdog deadline and its attempt
+    // budget --deadline and --retries: refuse the service's spellings
+    // of the shared engine flags, not ignore them.
+    for (const auto &[flag, ours] :
+         {std::pair{"deadline-ms", "deadline"},
+          std::pair{"retry-budget", "retries"}})
+        QUAKE_EXPECT(!args.has(flag), "--" << flag
+                                           << " is not supported by "
+                                              "earthquake_sim; use --"
+                                           << ours);
     const mesh::SfClass cls =
         mesh::sfClassFromName(args.get("mesh", "sf20"));
 

@@ -23,7 +23,9 @@ namespace quake::mesh
 /**
  * Abstract ground model: a domain box plus a shear-wave speed field.
  * Coordinates are kilometres; z measures depth below the free surface
- * (z = 0 at the surface, increasing downward).  Speeds are km/s.
+ * (z = 0 at the surface, increasing downward).  Speeds are km/s.  The
+ * distributor samples one model from several threads at once, so the
+ * const methods must be safe to call concurrently.
  */
 class SoilModel
 {

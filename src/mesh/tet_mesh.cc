@@ -46,44 +46,42 @@ NodeAdjacency
 TetMesh::buildNodeAdjacency() const
 {
     const std::int64_t n = numNodes();
+
+    // Node -> incident elements, ascending element id per node.
+    std::vector<std::int64_t> first(static_cast<std::size_t>(n) + 1, 0);
+    for (const Tet &t : tets_)
+        for (NodeId v : t.v)
+            ++first[v + 1];
+    for (std::int64_t i = 0; i < n; ++i)
+        first[i + 1] += first[i];
+    std::vector<TetId> incident(static_cast<std::size_t>(first[n]));
+    std::vector<std::int64_t> cursor(first.begin(), first.end() - 1);
+    for (std::size_t e = 0; e < tets_.size(); ++e)
+        for (NodeId v : tets_[e].v)
+            incident[cursor[v]++] = static_cast<TetId>(e);
+
+    // Every vertex of an element incident to node i is a neighbour of i
+    // (a tet is a complete graph); stamp[v] == i marks v as already
+    // gathered for row i, so only the distinct neighbours get sorted.
     NodeAdjacency adj;
     adj.xadj.assign(static_cast<std::size_t>(n) + 1, 0);
-
-    // Pass 1: count directed edge instances per node (with duplicates).
-    for (const Tet &t : tets_) {
-        for (const auto &e : kTetEdges) {
-            ++adj.xadj[t.v[e[0]] + 1];
-            ++adj.xadj[t.v[e[1]] + 1];
-        }
-    }
-    for (std::int64_t i = 0; i < n; ++i)
-        adj.xadj[i + 1] += adj.xadj[i];
-
-    // Pass 2: scatter neighbour instances.
-    std::vector<NodeId> raw(static_cast<std::size_t>(adj.xadj[n]));
-    std::vector<std::int64_t> cursor(adj.xadj.begin(), adj.xadj.end() - 1);
-    for (const Tet &t : tets_) {
-        for (const auto &e : kTetEdges) {
-            const NodeId a = t.v[e[0]];
-            const NodeId b = t.v[e[1]];
-            raw[cursor[a]++] = b;
-            raw[cursor[b]++] = a;
-        }
-    }
-
-    // Pass 3: sort + dedupe each neighbour list in place, then compact.
-    adj.adjncy.reserve(raw.size() / 4);
-    std::int64_t write_row_start = 0;
+    adj.adjncy.reserve(3 * tets_.size());
+    std::vector<NodeId> stamp(static_cast<std::size_t>(n), -1);
     for (std::int64_t i = 0; i < n; ++i) {
-        auto first = raw.begin() + adj.xadj[i];
-        auto last = raw.begin() + adj.xadj[i + 1];
-        std::sort(first, last);
-        auto unique_end = std::unique(first, last);
-        adj.adjncy.insert(adj.adjncy.end(), first, unique_end);
-        adj.xadj[i] = write_row_start;
-        write_row_start = static_cast<std::int64_t>(adj.adjncy.size());
+        const auto row = static_cast<NodeId>(i);
+        stamp[i] = row;
+        const std::size_t row_start = adj.adjncy.size();
+        for (std::int64_t k = first[i]; k < first[i + 1]; ++k) {
+            for (NodeId v : tets_[incident[k]].v) {
+                if (stamp[v] != row) {
+                    stamp[v] = row;
+                    adj.adjncy.push_back(v);
+                }
+            }
+        }
+        std::sort(adj.adjncy.begin() + row_start, adj.adjncy.end());
+        adj.xadj[i + 1] = static_cast<std::int64_t>(adj.adjncy.size());
     }
-    adj.xadj[n] = write_row_start;
     return adj;
 }
 

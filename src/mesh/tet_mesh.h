@@ -139,8 +139,10 @@ class TetMesh
     Aabb bounds() const;
 
     /**
-     * Build the node adjacency structure.  Cost is O(E log d) where d is
-     * the max degree; memory peaks at one int32 per directed tet edge.
+     * Build the node adjacency structure.  Each node's neighbours are
+     * gathered through a node -> element incidence list, so the cost is
+     * linear in the mesh plus a sort of each node's d distinct
+     * neighbours; memory peaks at one int32 per element vertex.
      */
     NodeAdjacency buildNodeAdjacency() const;
 

@@ -93,13 +93,19 @@ struct DistributedProblem
 };
 
 /**
- * Build the per-PE subdomains for `partition` of `mesh`.
+ * Build the per-PE subdomains for `partition` of `mesh`.  The subdomains
+ * are built concurrently on a transient pool of min(P,
+ * WorkerPool::hardwareThreads()) workers, and their bytes do not depend
+ * on the worker count (DESIGN.md §5).  When building some PEs throws,
+ * the lowest such PE's exception is rethrown: the error a serial loop
+ * over the PEs would raise.
  *
  * @param mesh      The global mesh.
  * @param partition Element partition (validated).
  * @param model     Soil model for stiffness assembly, or nullptr to skip
  *                  assembly and build topology only (characterization
- *                  does not need matrix values).
+ *                  does not need matrix values); sampled from several
+ *                  threads at once.
  * @param poisson   Poisson ratio for assembly.
  */
 std::vector<Subdomain> buildSubdomains(const mesh::TetMesh &mesh,

@@ -1,12 +1,37 @@
 #include "sparse/assembly.h"
 
-#include <algorithm>
+#include <array>
 
 #include "common/error.h"
 #include "sparse/elasticity.h"
 
 namespace quake::sparse
 {
+
+namespace
+{
+
+/**
+ * Storage slots of blocks (row, e.v[0..3]), found by one branch-free
+ * scan of the row; -1 for a column the row does not store.
+ */
+inline std::array<std::int64_t, 4>
+rowSlots(const std::int64_t *xadj, const std::int32_t *cols,
+         mesh::NodeId row, const mesh::Tet &e)
+{
+    const mesh::NodeId v0 = e.v[0], v1 = e.v[1], v2 = e.v[2], v3 = e.v[3];
+    std::int64_t s0 = -1, s1 = -1, s2 = -1, s3 = -1;
+    for (std::int64_t s = xadj[row]; s < xadj[row + 1]; ++s) {
+        const std::int32_t c = cols[s];
+        s0 = c == v0 ? s : s0;
+        s1 = c == v1 ? s : s1;
+        s2 = c == v2 ? s : s2;
+        s3 = c == v3 ? s : s3;
+    }
+    return {s0, s1, s2, s3};
+}
+
+} // namespace
 
 Bcsr3Matrix
 buildStiffnessPattern(const mesh::TetMesh &mesh)
@@ -41,6 +66,8 @@ assembleStiffness(const mesh::TetMesh &mesh, const mesh::SoilModel &model,
                   double poisson)
 {
     Bcsr3Matrix k = buildStiffnessPattern(mesh);
+    const std::int64_t *xadj = k.xadj().data();
+    const std::int32_t *cols = k.blockCols().data();
 
     for (mesh::TetId t = 0; t < mesh.numElements(); ++t) {
         const mesh::Tet &e = mesh.tet(t);
@@ -55,9 +82,19 @@ assembleStiffness(const mesh::TetMesh &mesh, const mesh::SoilModel &model,
             poisson);
 
         const ElementStiffness ke = elementStiffness(a, b, c, d, mat);
-        for (int i = 0; i < 4; ++i)
-            for (int j = 0; j < 4; ++j)
-                k.addToBlock(e.v[i], e.v[j], ke.blocks[i][j]);
+        for (int i = 0; i < 4; ++i) {
+            const std::array<std::int64_t, 4> slot =
+                rowSlots(xadj, cols, e.v[i], e);
+            for (int j = 0; j < 4; ++j) {
+                QUAKE_REQUIRE(slot[j] >= 0,
+                              "block (" << e.v[i] << ", " << e.v[j]
+                                        << ") is not in the sparsity "
+                                           "pattern");
+                double *dst = k.blockAt(slot[j]);
+                for (int q = 0; q < 9; ++q)
+                    dst[q] += ke.blocks[i][j][q];
+            }
+        }
     }
     return k;
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "mesh/generator.h"
 #include "sparse/assembly.h"
@@ -130,6 +131,24 @@ TEST(Stiffness, StiffnessTracksMaterial)
     const double *b2 = k2.blockAt(0);
     for (int i = 0; i < 9; ++i)
         EXPECT_NEAR(b2[i], 4.0 * b1[i], 1e-9 * std::fabs(b1[i]) + 1e-12);
+}
+
+TEST(StiffnessPinned, Sf10AssemblyIsBitwiseStable)
+{
+    // The global stiffness of the generated sf10 mesh, pinned by an
+    // FNV-1a hash over the block-row offsets, the block columns and then
+    // every value's bytes (recorded on the binary-search scatter this
+    // one replaced): each value must keep its ascending-element sum.
+    const LayeredBasinModel model;
+    const GeneratedMesh g =
+        generateMesh(model, MeshSpec::forClass(SfClass::kSf10, 1.0));
+    const Bcsr3Matrix k = assembleStiffness(g.mesh, model);
+    ASSERT_EQ(k.numBlocks(), 72'893);
+    const std::uint64_t got = quake::common::fnv1a(
+        k.blockAt(0), sizeof(double) * static_cast<std::size_t>(k.nnz()),
+        quake::common::fnv1aVector(
+            k.blockCols(), quake::common::fnv1aVector(k.xadj())));
+    EXPECT_EQ(got, 0xaf1bd7811aa19ba4ULL) << std::hex << "got 0x" << got;
 }
 
 TEST(LumpedMass, ConservesTotalMass)

@@ -3,14 +3,24 @@
  * Tests for the distributor: element coverage, local numbering, node
  * ownership, replication consistency, and — the crucial one — that the
  * scatter-sum of local stiffness matrices reproduces the global matrix.
+ * The sf10 and sf5 problems are pinned byte for byte, and the concurrent
+ * build must give those bytes, and the serial loop's error, on any CPU
+ * mask (DESIGN.md §5).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
 #include <set>
+#include <sstream>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "common/error.h"
+#include "common/fnv.h"
 #include "mesh/generator.h"
 #include "parallel/distributor.h"
 #include "partition/geometric_bisection.h"
@@ -195,6 +205,219 @@ TEST_P(DistributorTest, SharedNodesAppearInMultipleSubdomains)
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, DistributorTest,
                          ::testing::Values(1, 2, 3, 4, 8));
+
+/**
+ * FNV-1a over every field of every subdomain (elements, global and
+ * local nodes and tets, ownership, boundary and interior rows, the
+ * stiffness structure and the bytes of every value) and then over each
+ * PE's exchanges, peer and node list.
+ */
+std::uint64_t
+problemHash(const DistributedProblem &problem)
+{
+    quake::common::Fnv1aHasher h;
+    h.value(problem.numGlobalNodes);
+    for (const Subdomain &sub : problem.subdomains) {
+        const quake::sparse::Bcsr3Matrix &k = sub.stiffness;
+        h.value(sub.part)
+            .vec(sub.elements)
+            .vec(sub.globalNodes)
+            .vec(sub.localMesh.nodes())
+            .vec(sub.localMesh.tets())
+            .vec(sub.ownsNode)
+            .vec(sub.boundaryRows)
+            .vec(sub.interiorRows)
+            .vec(k.xadj())
+            .vec(k.blockCols());
+        if (k.numBlocks() > 0)
+            h.bytes(k.blockAt(0),
+                    sizeof(double) * static_cast<std::size_t>(k.nnz()));
+    }
+    for (int p = 0; p < problem.schedule.numPes(); ++p) {
+        const std::vector<Exchange> &exchanges =
+            problem.schedule.pe(p).exchanges;
+        h.value(static_cast<std::uint64_t>(exchanges.size()));
+        for (const Exchange &ex : exchanges)
+            h.value(ex.peer).vec(ex.nodes);
+    }
+    return h.digest();
+}
+
+/** The generated `cls` mesh distributed over `pes` PEs (benchmark form). */
+DistributedProblem
+sfProblem(SfClass cls, int pes)
+{
+    const LayeredBasinModel model;
+    const GeneratedMesh g = generateMesh(model, MeshSpec::forClass(cls, 1.0));
+    const GeometricBisection partitioner;
+    return distribute(g.mesh, model, partitioner.partition(g.mesh, pes));
+}
+
+// Recorded on the serial, binary-search distributor the concurrent one
+// replaced.
+constexpr std::uint64_t kSf10EightPeHash = 0x88f05e6d0500698fULL;
+constexpr std::uint64_t kSf5EightPeHash = 0xab4ad5c30d42da60ULL;
+
+TEST(DistributorPinned, Sf10EightPeProblemIsBitwiseStable)
+{
+    const std::uint64_t got = problemHash(sfProblem(SfClass::kSf10, 8));
+    EXPECT_EQ(got, kSf10EightPeHash) << std::hex << "got 0x" << got;
+}
+
+TEST(DistributorPinned, Sf5EightPeProblemIsBitwiseStable)
+{
+    const std::uint64_t got = problemHash(sfProblem(SfClass::kSf5, 8));
+    EXPECT_EQ(got, kSf5EightPeHash) << std::hex << "got 0x" << got;
+}
+
+#ifdef __linux__
+/** Narrows this thread's affinity mask to its first CPU until destroyed. */
+class OneCpuMask
+{
+  public:
+    OneCpuMask()
+    {
+        CPU_ZERO(&original_);
+        ok_ = sched_getaffinity(0, sizeof(original_), &original_) == 0;
+        int first = -1;
+        for (int c = 0; ok_ && c < CPU_SETSIZE && first < 0; ++c)
+            if (CPU_ISSET(c, &original_))
+                first = c;
+        cpu_set_t narrow;
+        CPU_ZERO(&narrow);
+        if (first >= 0)
+            CPU_SET(first, &narrow);
+        ok_ = first >= 0 &&
+              sched_setaffinity(0, sizeof(narrow), &narrow) == 0;
+    }
+
+    ~OneCpuMask()
+    {
+        if (ok_)
+            sched_setaffinity(0, sizeof(original_), &original_);
+    }
+
+    bool ok() const { return ok_; }
+
+  private:
+    cpu_set_t original_;
+    bool ok_ = false;
+};
+
+TEST(Distributor, SameBytesOnOneCpu)
+{
+    // One CPU in the mask means a one-worker pool, i.e. the subdomains
+    // built one after another on this thread: the bytes must not change.
+    std::uint64_t narrow_hash = 0;
+    {
+        const OneCpuMask mask;
+        ASSERT_TRUE(mask.ok());
+        narrow_hash = problemHash(sfProblem(SfClass::kSf10, 8));
+    }
+    const std::uint64_t wide_hash = problemHash(sfProblem(SfClass::kSf10, 8));
+    EXPECT_EQ(narrow_hash, wide_hash);
+    EXPECT_EQ(narrow_hash, kSf10EightPeHash) << std::hex << "got 0x"
+                                             << narrow_hash;
+}
+#endif
+
+/** Uniform soil with zero shear-wave speed where x > 0.5. */
+class VoidedModel : public UniformModel
+{
+  public:
+    VoidedModel() : UniformModel(Aabb{{0, 0, 0}, {1, 1, 1}}, 1.0, 1.0) {}
+
+    double
+    shearWaveSpeed(const Vec3 &p) const override
+    {
+        return p.x > 0.5 ? 0.0 : UniformModel::shearWaveSpeed(p);
+    }
+};
+
+/** Uniform soil that refuses every point with x > 0.5, naming it. */
+class RefusingModel : public UniformModel
+{
+  public:
+    RefusingModel() : UniformModel(Aabb{{0, 0, 0}, {1, 1, 1}}, 1.0, 1.0) {}
+
+    static std::string
+    message(const Vec3 &p)
+    {
+        std::ostringstream oss;
+        oss << std::setprecision(17) << "no soil at (" << p.x << ", "
+            << p.y << ", " << p.z << ")";
+        return oss.str();
+    }
+
+    double
+    shearWaveSpeed(const Vec3 &p) const override
+    {
+        if (p.x > 0.5)
+            quake::common::fatal(message(p));
+        return UniformModel::shearWaveSpeed(p);
+    }
+};
+
+/** what() of the FatalError `fn` raises ("" when it returns). */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const quake::common::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Distributor, ConcurrentBuildRethrowsLowestPeError)
+{
+    // Half the domain has no shear stiffness, so several PEs fail while
+    // the others build.  Every worker's exception must be caught (one
+    // escaping a pool task would terminate the process) and the caller
+    // must see what the serial loop raised: the error of the lowest
+    // failing PE, at its first failing element.
+    const TetMesh mesh =
+        buildKuhnLattice(Aabb{{0, 0, 0}, {1, 1, 1}}, 6, 6, 6);
+    const GeometricBisection partitioner;
+    const Partition part = partitioner.partition(mesh, 8);
+
+    std::vector<int> failing_pes;
+    std::string expected;
+    for (int p = 0; p < part.numParts; ++p) {
+        bool fails = false;
+        for (TetId t = 0; t < mesh.numElements() && !fails; ++t) {
+            if (part.elementPart[t] != p)
+                continue;
+            const Vec3 c = mesh.tetCentroidOf(t);
+            if (c.x > 0.5) {
+                fails = true;
+                if (expected.empty())
+                    expected = RefusingModel::message(c);
+            }
+        }
+        if (fails)
+            failing_pes.push_back(p);
+    }
+    ASSERT_GE(failing_pes.size(), 2u);
+    ASSERT_LT(failing_pes.size(), 8u);
+
+    const VoidedModel voided;
+    EXPECT_NE(fatalMessage([&] { distribute(mesh, voided, part); })
+                  .find("vs and rho must be positive"),
+              std::string::npos);
+
+    const RefusingModel refusing;
+    EXPECT_EQ(fatalMessage([&] { distribute(mesh, refusing, part); }),
+              expected);
+#ifdef __linux__
+    const OneCpuMask mask;
+    ASSERT_TRUE(mask.ok());
+    EXPECT_EQ(fatalMessage([&] { distribute(mesh, refusing, part); }),
+              expected);
+#endif
+}
 
 TEST(Subdomain, LocalNodeOfMissingPanics)
 {

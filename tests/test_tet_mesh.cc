@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "mesh/generator.h"
 #include "mesh/tet_mesh.h"
 
@@ -132,6 +133,22 @@ TEST(TetMesh, KuhnLatticeInteriorDegreeIs14)
     // Node at lattice position (2,2,2) is interior: id = (2*5+2)*5+2.
     const NodeId interior = (2 * 5 + 2) * 5 + 2;
     EXPECT_EQ(adj.degree(interior), 14);
+}
+
+TEST(TetMeshPinned, Sf10AdjacencyIsBitwiseStable)
+{
+    // The adjacency of the generated sf10 mesh, pinned by an FNV-1a hash
+    // over xadj and then adjncy (recorded on the sort-based builder this
+    // one replaced): the stiffness pattern, the partitioners and RCM all
+    // read these bytes.
+    const LayeredBasinModel model;
+    const GeneratedMesh g =
+        generateMesh(model, MeshSpec::forClass(SfClass::kSf10, 1.0));
+    const NodeAdjacency adj = g.mesh.buildNodeAdjacency();
+    EXPECT_EQ(adj.numEdges(), 33'535);
+    const std::uint64_t got = quake::common::fnv1aVector(
+        adj.adjncy, quake::common::fnv1aVector(adj.xadj));
+    EXPECT_EQ(got, 0x022e83ef8037f5edULL) << std::hex << "got 0x" << got;
 }
 
 TEST(TetMesh, Stats)
