@@ -4,13 +4,16 @@
  * crash-safety cost the fused step loop, and what does it cost to come
  * back from the dead?
  *
- * Three runs of the same distributed fused scenario:
+ * Three runs of the same distributed fused scenario, each through the
+ * production run loop (sim::advanceSimulation):
  *
- *   plain         checkpointing disabled — the baseline step rate, with
- *                 the global allocation hook proving the disabled hook
- *                 costs ZERO heap allocations (the acceptance gate);
- *   checkpointed  a real checkpoint written atomically to disk every
- *                 --every steps, timing each write;
+ *   plain         no step observer — the baseline step rate, with the
+ *                 global allocation hook proving the loop without
+ *                 checkpoints costs ZERO heap allocations (the
+ *                 acceptance gate);
+ *   checkpointed  an observer snapshots the run and writes it
+ *                 atomically to disk every --every steps, timing each
+ *                 write;
  *   resumed       a fresh engine restored from the last on-disk
  *                 checkpoint and advanced to the same final step — its
  *                 displacement triad must be bitwise identical to both
@@ -106,20 +109,22 @@ struct RunResult
 };
 
 /**
- * Step `engine` from its current count up to `target` total steps,
- * timing the loop and the allocations it makes.  The warm-up step (if
- * any) is the caller's business so every run ends at the same absolute
- * step index.
+ * Advance `engine` from its current count to its planned steps through
+ * the run loop, with `observer` as the per-step policy, timing the loop
+ * and the allocations it makes.  The warm-up step (if any) is the
+ * caller's business so every run ends at the same absolute step index;
+ * `report` covers the steps advanced here.
  */
 RunResult
-timeRun(sim::SimulationEngine &engine, std::int64_t target)
+timeRun(sim::SimulationEngine &engine, const sim::SimulationConfig &config,
+        sim::SimulationReport &report,
+        const sim::StepObserver &observer = {})
 {
-    sim::ExplicitTimeStepper &stepper = *engine.stepper;
+    const sim::ExplicitTimeStepper &stepper = *engine.stepper;
     const std::int64_t alloc0 =
         g_allocations.load(std::memory_order_relaxed);
     const auto t0 = std::chrono::steady_clock::now();
-    while (stepper.stepCount() < target)
-        stepper.step();
+    sim::advanceSimulation(engine, config, report, observer);
     const auto t1 = std::chrono::steady_clock::now();
 
     RunResult r;
@@ -163,15 +168,18 @@ main(int argc, char **argv)
     const mesh::TetMesh &m = bench::cachedMesh(bm);
     const mesh::LayeredBasinModel model;
 
+    // Every run is driven to the same absolute step index: one warm-up
+    // step outside the timed window, then `steps` timed steps.  No
+    // samples, so the loop itself allocates nothing.
+    const std::int64_t target = steps + 1;
     sim::SimulationConfig config;
     config.numPes = opt.pes;
     config.smvpThreads = opt.threads;
+    config.durationSeconds = 1e9; // the step cap is the binding limit
+    config.maxSteps = target;
+    config.sampleInterval = 0;
 
-    // Every run is driven to the same absolute step index: one warm-up
-    // step outside the timed window, then `steps` timed steps.
-    const std::int64_t target = steps + 1;
-
-    // --- Plain run: hook disabled, allocation gate armed. ---
+    // --- Plain run: no observer, allocation gate armed. ---
     sim::SimulationEngine plain_engine =
         sim::makeSimulationEngine(m, model, config);
     std::cout << "mesh: " << bm.label << ", " << m.numNodes()
@@ -180,32 +188,31 @@ main(int argc, char **argv)
               << "logical PEs: " << opt.pes
               << ", checkpoint every " << every << " steps\n\n";
     plain_engine.stepper->step(); // warm caches and pool
-    const RunResult plain = timeRun(plain_engine, target);
+    sim::SimulationReport plain_report;
+    const RunResult plain = timeRun(plain_engine, config, plain_report);
 
     // --- Checkpointed run: a real atomic write every `every` steps. ---
     sim::SimulationEngine ckpt_engine =
         sim::makeSimulationEngine(m, model, config);
-    resilience::Checkpoint last;
     std::int64_t writes = 0;
     std::size_t ckpt_bytes = 0;
     double write_seconds = 0.0;
-    ckpt_engine.stepper->checkpointEvery(
-        every, [&](const sim::ExplicitTimeStepper &st) {
-            last.fingerprint = ckpt_engine.fingerprint;
-            last.dt = ckpt_engine.dt;
-            last.plannedSteps = target;
-            st.saveState(last.state);
-            last.reportPeak = st.peakDisplacement();
+    ckpt_engine.stepper->step(); // warm-up, same absolute step index
+    sim::SimulationReport ckpt_report;
+    const RunResult ckpt = timeRun(
+        ckpt_engine, config, ckpt_report, [&](std::int64_t step) {
+            if (step % every != 0)
+                return;
+            const resilience::Checkpoint c =
+                resilience::snapshot(ckpt_engine, ckpt_report);
             const auto w0 = std::chrono::steady_clock::now();
-            ckpt_bytes = resilience::writeCheckpoint(path, last);
+            ckpt_bytes = resilience::writeCheckpoint(path, c);
             const auto w1 = std::chrono::steady_clock::now();
             write_seconds +=
                 std::chrono::duration<double>(w1 - w0).count();
             ++writes;
         });
-    ckpt_engine.stepper->step(); // warm-up, same absolute step index
-    const RunResult ckpt = timeRun(ckpt_engine, target);
-    QUAKE_EXPECT(writes > 0, "checkpoint hook never fired in " << steps
+    QUAKE_EXPECT(writes > 0, "no checkpoint written in " << steps
                                  << " steps at interval " << every);
 
     // --- Read latency, measured in isolation. ---
@@ -226,10 +233,11 @@ main(int argc, char **argv)
         sim::makeSimulationEngine(m, model, config);
     const resilience::Checkpoint restored =
         resilience::readCheckpoint(path);
-    resilience::requireCompatible(restored, resume_engine);
-    resume_engine.stepper->restoreState(restored.state);
+    sim::SimulationReport resume_report;
+    resilience::restore(restored, resume_engine, resume_report);
     const std::int64_t resumed_from = restored.state.steps;
-    const RunResult resumed = timeRun(resume_engine, target);
+    const RunResult resumed =
+        timeRun(resume_engine, config, resume_report);
 
     // --- Correctness gates. ---
     const bool zero_alloc_ok = plain.allocations == 0;
@@ -238,7 +246,8 @@ main(int argc, char **argv)
     const bool resume_ok =
         bitwiseEqual(resumed.u, plain.u) &&
         bitwiseEqual(resumed.up, plain.up) &&
-        resumed.peak == plain.peak;
+        resumed.peak == plain.peak &&
+        resume_report.peakDisplacement == ckpt_report.peakDisplacement;
 
     // --- Report. ---
     const double plain_rate = steps / plain.wallSeconds;

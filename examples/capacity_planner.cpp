@@ -17,7 +17,7 @@
  * --faults, a synthetic irregular exchange is executed through the
  * reliable protocol at the given drop rate and the Equation (1)/(2)
  * targets are deflated by the measured phase inflation.  With
- * --deadline-ms, the planner checks a per-step watchdog deadline SLO
+ * --deadline-ms, the planner checks a per-step stall deadline SLO
  * against the Eq. (1) model prediction for the worst instance — the
  * same model-informed timeout the resilience supervisor derives — and
  * says whether the budgeted retries can absorb a stall.
@@ -169,7 +169,7 @@ run(int argc, char **argv)
               << common::formatTime(h.halfPoint.latency) << "\n";
 
     if (cli.hasDeadlineMs) {
-        // The watchdog deadline the resilience supervisor would derive
+        // The stall deadline the resilience supervisor would derive
         // from Eq. (1) for this machine's worst instance, vs the SLO.
         const double tc =
             core::tcFromBlocks(worst, machine.tl, machine.tw);
@@ -191,8 +191,8 @@ run(int argc, char **argv)
                                 (retry_budget == 2 ? std::string("y")
                                                    : std::string("ies"))
                           : "INFEASIBLE: tighter than the model predicts "
-                            "a healthy step takes; the watchdog would "
-                            "cancel healthy runs")
+                            "a healthy step takes; the stall check would "
+                            "abandon healthy runs")
                   << "\n";
     }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Checkpoint inspection and corruption harness (DESIGN.md §11).  Runs a
- * small deterministic scenario, checkpoints it through the real engine
- * hook, then either proves the round trip (--mode roundtrip) or damages
- * the file in one precisely targeted way and attempts to load it — the
- * loader must refuse each corruption class with its own FatalError
- * message, which the resilience rejection ctests match textually.
+ * small deterministic scenario, snapshots it from the run loop's step
+ * observer, then either proves the round trip (--mode roundtrip) or
+ * damages the file in one precisely targeted way and attempts to load
+ * it — the loader must refuse each corruption class with its own
+ * FatalError message, which the resilience rejection ctests match
+ * textually.
  *
  * Usage: checkpoint_tool --mode MODE [--dir DIR]
  *
@@ -47,7 +48,7 @@ scenarioConfig()
     return config;
 }
 
-/** Run the scenario, capturing the checkpoint the hook takes at step 6. */
+/** Run the scenario, capturing its snapshot at step 6. */
 resilience::Checkpoint
 makeCheckpoint(const mesh::TetMesh &mesh, const mesh::SoilModel &model)
 {
@@ -57,28 +58,14 @@ makeCheckpoint(const mesh::TetMesh &mesh, const mesh::SoilModel &model)
     sim::SimulationReport report;
     report.dt = engine.dt;
 
-    resilience::Checkpoint last;
-    engine.stepper->checkpointEvery(
-        6, [&](const sim::ExplicitTimeStepper &st) {
-            if (last.state.steps != 0)
-                return; // keep the mid-run snapshot, not the final one
-            last.fingerprint = engine.fingerprint;
-            last.dt = engine.dt;
-            last.plannedSteps = engine.plannedSteps;
-            st.saveState(last.state);
-            last.reportPeak = std::max(report.peakDisplacement,
-                                       st.peakDisplacement());
-            last.samples = report.samples;
-            if (config.sampleInterval > 0 &&
-                st.stepCount() % config.sampleInterval == 0)
-                last.samples.push_back(sim::FieldSample{
-                    st.time(), st.peakDisplacement(),
-                    st.kineticEnergy()});
-        });
-    sim::advanceSimulation(engine, config, report);
-    QUAKE_EXPECT(last.state.steps == 6,
+    resilience::Checkpoint mid;
+    sim::advanceSimulation(engine, config, report, [&](std::int64_t step) {
+        if (step == 6)
+            mid = resilience::snapshot(engine, report);
+    });
+    QUAKE_EXPECT(mid.state.steps == 6,
                  "scenario produced no checkpoint at step 6");
-    return last;
+    return mid;
 }
 
 /** Byte offset of the first payload byte of the tagged section. */

@@ -26,10 +26,11 @@
  * atomically every N steps (default 100); kill it at any point and
  * rerun with --resume to continue bitwise identically from the last
  * checkpoint (DESIGN.md §11 and the README crash-recovery recipe).
- * --deadline arms the watchdog: a run whose per-step heartbeat stalls
- * longer than the given milliseconds is cancelled, restored from the
- * last checkpoint, and retried (up to --retries attempts) under capped
- * exponential backoff, halving the worker threads after each stall.
+ * --deadline arms the stall check: an attempt whose next per-step
+ * heartbeat comes later than the given milliseconds is abandoned,
+ * restored from the last checkpoint, and retried (up to --retries
+ * attempts) under capped exponential backoff, halving the worker
+ * threads after each stall.
  * Note: seismogram traces cover only the steps the final attempt
  * executed; the checkpointed state and report history are complete.
  *
@@ -74,7 +75,7 @@ run(int argc, char **argv)
     using namespace quake;
     const common::Args args(argc, argv);
     const common::EngineCliOptions cli = common::parseEngineCli(args);
-    // The supervised run spells its watchdog deadline and its attempt
+    // The supervised run spells its stall deadline and its attempt
     // budget --deadline and --retries: refuse the service's spellings
     // of the shared engine flags, not ignore them.
     for (const auto &[flag, ours] :
@@ -163,8 +164,8 @@ run(int argc, char **argv)
 
     // Every run goes through the supervisor; with no checkpoint or
     // deadline flags it degenerates to a single plain attempt (no
-    // watchdog thread, no hook) but still reports the final-state
-    // fingerprint the crash-recovery smoke compares.
+    // checkpoint writes, no stall check) but still reports the
+    // final-state fingerprint the crash-recovery smoke compares.
     const resilience::RunOutcome outcome =
         resilience::runSupervisedSimulation(generated.mesh, model,
                                             config, resilient);

@@ -12,7 +12,7 @@
  *                        [--cache-mb M] [--queue N] [--results DIR]
  *                        [--mflops F [--tc-ns W]] [--deadline-ms D]
  *                        [--topology SPEC]
- *                        [--faults [--drop-rate R] [--seed S]]
+ *                        [--faults [--drop-rate R]]
  *                        [--metrics path] [--check]
  *
  * The workload cycles N scenario requests over T tenants; all share
@@ -46,9 +46,11 @@ run(int argc, char **argv)
     using namespace quake;
     const common::Args args(argc, argv);
     const common::EngineCliOptions cli = common::parseEngineCli(args);
-    // The service records counters, not spans, and has no pinning or
-    // retry budget: refuse these shared engine flags, not ignore them.
-    for (const char *flag : {"trace", "sample-every", "pin", "retry-budget"})
+    // The service records counters, not spans, has no pinning or retry
+    // budget, and only models faults (no seeded injection): refuse
+    // these shared engine flags, not ignore them.
+    for (const char *flag :
+         {"trace", "sample-every", "pin", "retry-budget", "seed"})
         QUAKE_EXPECT(!args.has(flag),
                      "--" << flag << " is not supported by scenario_server");
 
@@ -90,7 +92,6 @@ run(int argc, char **argv)
     base.topologyHint = cli.topologySpec;
     base.faults = cli.faults;
     base.faultDropRate = cli.dropRate;
-    base.faultSeed = cli.faultSeed;
     if (cli.hasDeadlineMs)
         base.deadlineMs = cli.deadlineMs;
 

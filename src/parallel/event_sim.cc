@@ -18,7 +18,6 @@ struct QueuedArrival
     double time;
     int src;
     std::int64_t words;
-    bool duplicate;
 
     bool
     operator>(const QueuedArrival &o) const
@@ -34,7 +33,6 @@ struct Event
     {
         kArrival = 0,  ///< a message reaches its receiver
         kLinkFree = 1, ///< a link finishes its current task
-        kStart = 2,    ///< a straggler PE enters the phase
     };
 
     double time;
@@ -43,7 +41,6 @@ struct Event
     int src;            ///< sender (arrivals only)
     std::int64_t words; ///< payload (arrivals only)
     int link;           ///< 0 = out / shared, 1 = in (link-free only)
-    bool duplicate;     ///< network-duplicated copy (arrivals only)
 
     bool
     operator>(const Event &o) const
@@ -57,7 +54,6 @@ struct PeState
 {
     const PeSchedule *schedule = nullptr;
     std::size_t nextSend = 0;
-    bool started = true;
     std::priority_queue<QueuedArrival, std::vector<QueuedArrival>,
                         std::greater<QueuedArrival>>
         arrivals;
@@ -79,11 +75,6 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
                  "wire latency must be nonnegative");
 
     const int p = schedule.numPes();
-    static const FaultModel benign;
-    const FaultModel &faults = options.faults ? *options.faults : benign;
-    QUAKE_EXPECT(faults.numPes() == 0 || faults.numPes() >= p,
-                 "fault model covers " << faults.numPes()
-                                       << " PEs, schedule has " << p);
 
     EventSimResult result;
     std::vector<PeState> pes(static_cast<std::size_t>(p));
@@ -93,17 +84,14 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         events;
 
-    // A transfer's duration depends on the link that carries it: a
-    // degraded PE stretches the per-word time on its own links.
-    auto transferTime = [&](std::int64_t words, int pe) {
-        return machine.tl + static_cast<double>(words) * machine.tw *
-                                faults.bandwidthFactor(pe);
+    auto transferTime = [&](std::int64_t words) {
+        return machine.tl + static_cast<double>(words) * machine.tw;
     };
 
     // In half-duplex mode both roles share link 0.
     const int in_link = options.fullDuplex ? 1 : 0;
 
-    // Try to start the next task on a link; returns true if started.
+    // Try to start the next task on a link.
     auto tryStart = [&](int pe, int link, double now) {
         PeState &state = pes[pe];
         if (state.linkBusy[link])
@@ -112,8 +100,7 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
         // Sends are served first (they are ready from the PE's phase
         // start); the input role serves the earliest queued arrival.
         const bool can_send =
-            (link == 0) && state.started &&
-            state.nextSend < state.schedule->exchanges.size();
+            (link == 0) && state.nextSend < state.schedule->exchanges.size();
         const bool can_recv = (link == in_link) &&
                               !state.arrivals.empty() &&
                               state.arrivals.top().time <= now;
@@ -121,53 +108,31 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
         if (can_send) {
             const std::size_t msg = state.nextSend++;
             const Exchange &ex = state.schedule->exchanges[msg];
-            const double duration = transferTime(ex.words(), pe);
+            const double duration = transferTime(ex.words());
             state.linkBusy[link] = true;
             state.linkBusyTime[link] += duration;
             state.linkLastDone[link] = now + duration;
-            events.push(Event{now + duration, Event::kLinkFree, pe, -1,
-                              0, link, false});
+            events.push(
+                Event{now + duration, Event::kLinkFree, pe, -1, 0, link});
             ++result.messagesSent;
-            // The message is fully on the wire when the send ends; the
-            // network may then lose it, delay it, or deliver it twice.
-            if (faults.dropData(pe, ex.peer, 0)) {
-                ++result.messagesDropped;
-            } else {
-                events.push(
-                    Event{now + duration + options.wireLatency +
-                              faults.deliveryJitter(pe, ex.peer, 0, 0),
-                          Event::kArrival, ex.peer, pe, ex.words(), 0,
-                          false});
-                if (faults.duplicateData(pe, ex.peer, 0))
-                    events.push(
-                        Event{now + duration + options.wireLatency +
-                                  faults.deliveryJitter(pe, ex.peer, 0,
-                                                        1),
+            // The message is fully on the wire when the send ends.
+            events.push(Event{now + duration + options.wireLatency,
                               Event::kArrival, ex.peer, pe, ex.words(),
-                              0, true});
-            }
+                              0});
         } else if (can_recv) {
             const QueuedArrival arrival = state.arrivals.top();
             state.arrivals.pop();
-            const double duration = transferTime(arrival.words, pe);
+            const double duration = transferTime(arrival.words);
             state.linkBusy[link] = true;
             state.linkBusyTime[link] += duration;
             state.linkLastDone[link] = now + duration;
             events.push(Event{now + duration, Event::kLinkFree, pe,
-                              arrival.src, 0, link, false});
+                              arrival.src, 0, link});
         }
     };
 
-    for (int i = 0; i < p; ++i) {
-        const double delay = faults.startDelay(i);
-        if (delay > 0) {
-            pes[i].started = false;
-            events.push(
-                Event{delay, Event::kStart, i, -1, 0, 0, false});
-        } else {
-            tryStart(i, 0, 0.0);
-        }
-    }
+    for (int i = 0; i < p; ++i)
+        tryStart(i, 0, 0.0);
 
     while (!events.empty()) {
         const Event ev = events.top();
@@ -175,14 +140,8 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
         PeState &state = pes[ev.pe];
         if (ev.kind == Event::kArrival) {
             ++result.messagesDelivered;
-            if (ev.duplicate)
-                ++result.duplicatesDelivered;
-            state.arrivals.push(
-                QueuedArrival{ev.time, ev.src, ev.words, ev.duplicate});
+            state.arrivals.push(QueuedArrival{ev.time, ev.src, ev.words});
             tryStart(ev.pe, in_link, ev.time);
-        } else if (ev.kind == Event::kStart) {
-            state.started = true;
-            tryStart(ev.pe, 0, ev.time);
         } else {
             state.linkBusy[ev.link] = false;
             state.finish = std::max(state.finish, ev.time);
@@ -199,9 +158,7 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
         QUAKE_REQUIRE(pes[i].arrivals.empty(),
                       "simulation ended with unconsumed arrivals");
     }
-    QUAKE_REQUIRE(result.messagesDelivered ==
-                      result.messagesSent - result.messagesDropped +
-                          result.duplicatesDelivered,
+    QUAKE_REQUIRE(result.messagesDelivered == result.messagesSent,
                   "message conservation violated");
 
     result.peFinishTime.resize(static_cast<std::size_t>(p));
@@ -212,17 +169,12 @@ simulateExchange(const CommSchedule &schedule, const MachineModel &machine,
             result.criticalPe = i;
         }
         // Idle: time each active link spent not transferring before it
-        // completed its last task (straggler start delays included).
+        // completed its last task.
         for (int link = 0; link < (options.fullDuplex ? 2 : 1); ++link) {
             if (pes[i].linkBusyTime[link] > 0)
                 result.totalIdle += pes[i].linkLastDone[link] -
                                     pes[i].linkBusyTime[link];
         }
-    }
-    if (options.faults) {
-        result.peStartDelay.resize(static_cast<std::size_t>(p));
-        for (int i = 0; i < p; ++i)
-            result.peStartDelay[i] = faults.startDelay(i);
     }
     return result;
 }

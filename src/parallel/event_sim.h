@@ -20,14 +20,9 @@
  *    messages that find the link busy queue in arrival order;
  *  - a PE's phase ends when both links are finally idle.
  *
- * An optional FaultModel threads faults through the same timeline:
- * dropped transmissions simply never arrive, duplicated ones occupy
- * the receiver's input link twice, jitter shifts arrival times,
- * straggler PEs issue their first send late, and degraded links
- * stretch the per-word time of every transfer they carry.  This is
- * fault *injection* without *recovery* — lost data stays lost and is
- * reported in the counters; see reliable_exchange.h for the
- * ack/retransmit protocol layered on top.
+ * The network here is ideal: every message arrives exactly once.
+ * Faults and their recovery live in reliable_exchange.h, whose
+ * fault-free timeline equals this one bit for bit.
  */
 
 #ifndef QUAKE98_PARALLEL_EVENT_SIM_H_
@@ -37,7 +32,6 @@
 #include <vector>
 
 #include "parallel/comm_schedule.h"
-#include "parallel/fault_model.h"
 #include "parallel/machine.h"
 
 namespace quake::parallel
@@ -56,13 +50,6 @@ struct EventSimOptions
      * paper's Equation (2) accounting.
      */
     bool fullDuplex = true;
-
-    /**
-     * Optional fault injection (not owned; must outlive the call).
-     * nullptr, or a FaultModel with enabled() == false, reproduces the
-     * fault-free timeline bit for bit.
-     */
-    const FaultModel *faults = nullptr;
 };
 
 /** Result of simulating one communication phase. */
@@ -80,25 +67,11 @@ struct EventSimResult
     /** Index of the finishing (slowest) PE. */
     int criticalPe = 0;
 
-    // --- fault counters (all zero on a fault-free run) ---
-
-    /** Data transmissions issued (one per directed exchange here). */
+    /** Data transmissions issued (one per directed exchange). */
     std::int64_t messagesSent = 0;
 
-    /** Copies that reached their receiver (includes duplicates). */
+    /** Messages that reached their receiver (== messagesSent). */
     std::int64_t messagesDelivered = 0;
-
-    /** Transmissions lost in the network and never recovered. */
-    std::int64_t messagesDropped = 0;
-
-    /** Extra copies the network delivered. */
-    std::int64_t duplicatesDelivered = 0;
-
-    /**
-     * Per-PE straggler attribution: seconds each PE entered the phase
-     * late.  Empty when no fault model was supplied.
-     */
-    std::vector<double> peStartDelay;
 };
 
 /**

@@ -178,8 +178,8 @@ struct SimulationReport
  * (global matrix or distributed problem + SMVP engine) it multiplies
  * through, kept alive together (DESIGN.md §11).  Exposing this lets
  * the resilience subsystem restore a checkpoint into a freshly built
- * engine and drive the stepping loop itself; runSimulation is the thin
- * uninterrupted loop over the same pieces.
+ * engine and advance it under its own StepObserver; runSimulation is
+ * the thin uninterrupted loop over the same pieces.
  */
 struct SimulationEngine
 {
@@ -265,10 +265,11 @@ SimulationEngine makeSimulationEngineWith(const mesh::TetMesh &mesh,
                                           const EnginePrefix &prefix);
 
 /**
- * Observation hook run after every completed step of
- * advanceSimulation, with the just-finished step index (1-based, ==
- * stepper.stepCount()).  The resilience supervisor uses it as the
- * watchdog heartbeat; it may throw to abort the attempt.
+ * Per-step run policy, run after advanceSimulation has folded each
+ * completed step into the report, with the just-finished step index
+ * (1-based, == stepper.stepCount()).  This is the one place a run
+ * takes checkpoints (resilience::snapshot) and checks for stalls or a
+ * missed deadline; it may throw to abort the run.
  */
 using StepObserver = std::function<void(std::int64_t step)>;
 

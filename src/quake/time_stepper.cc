@@ -236,12 +236,6 @@ ExplicitTimeStepper::step()
     }
 
     total_seconds_ += now_seconds() - t_start;
-
-    // Checkpoint hook last, so the snapshot sees the fully advanced
-    // state (u_n = the step's result, stats cached).  Disabled (the
-    // default) this is one compare — no time, no allocation.
-    if (ckpt_every_ > 0 && steps_ % ckpt_every_ == 0)
-        ckpt_hook_(*this);
 }
 
 void

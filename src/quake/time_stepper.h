@@ -166,32 +166,9 @@ class ExplicitTimeStepper
     double totalSeconds() const { return total_seconds_; }
 
     /**
-     * Called after every checkpointInterval()-th completed step with
-     * the stepper itself; the resilience subsystem binds a hook that
-     * snapshots the state and writes it to disk atomically.
-     */
-    using CheckpointHook = std::function<void(const ExplicitTimeStepper &)>;
-
-    /**
-     * Arrange for `hook` to run after every `every`-th completed step
-     * (DESIGN.md §11).  `every` == 0 disables checkpointing — the
-     * disabled path costs exactly one integer compare per step and
-     * zero allocations (guarded by the resilience perf smoke).  Pass a
-     * null hook with every == 0 to unbind.
-     */
-    void
-    checkpointEvery(std::int64_t every, CheckpointHook hook)
-    {
-        ckpt_every_ = every > 0 ? every : 0;
-        ckpt_hook_ = std::move(hook);
-    }
-
-    /** Steps between checkpoint-hook firings; 0 = disabled. */
-    std::int64_t checkpointInterval() const { return ckpt_every_; }
-
-    /**
      * Copy the full integrator state into `out` (reusing its buffers
-     * when already sized).  O(n); checkpoint/verify path only.
+     * when already sized).  O(n); checkpoint/verify path only — run
+     * loops take checkpoints through resilience::snapshot.
      */
     void saveState(StepperState &out) const;
 
@@ -231,8 +208,6 @@ class ExplicitTimeStepper
 
     SmvpFn smvp_;
     FusedStepFn fused_;
-    CheckpointHook ckpt_hook_;
-    std::int64_t ckpt_every_ = 0;
     parallel::WorkerPool *pool_ = nullptr;
     telemetry::Collector *tele_ = nullptr;
     std::vector<double> inv_mass_;

@@ -357,6 +357,30 @@ requireCompatible(const Checkpoint &ckpt,
                         "mesh/partition/matrix/source");
 }
 
+Checkpoint
+snapshot(const sim::SimulationEngine &engine,
+         const sim::SimulationReport &report)
+{
+    Checkpoint ckpt;
+    ckpt.fingerprint = engine.fingerprint;
+    ckpt.dt = engine.dt;
+    ckpt.plannedSteps = engine.plannedSteps;
+    engine.stepper->saveState(ckpt.state);
+    ckpt.reportPeak = report.peakDisplacement;
+    ckpt.samples = report.samples;
+    return ckpt;
+}
+
+void
+restore(const Checkpoint &ckpt, sim::SimulationEngine &engine,
+        sim::SimulationReport &report)
+{
+    requireCompatible(ckpt, engine);
+    engine.stepper->restoreState(ckpt.state);
+    report.peakDisplacement = ckpt.reportPeak;
+    report.samples = ckpt.samples;
+}
+
 std::uint64_t
 stateFingerprint(const Checkpoint &ckpt)
 {

@@ -56,6 +56,25 @@ struct Checkpoint
 };
 
 /**
+ * Snapshot a run at a step boundary: the engine's fingerprint, dt and
+ * planned steps, the integrator state, and the report's running peak
+ * and samples.  Call it once advanceSimulation has folded the step
+ * into `report` — from a StepObserver, or after the run returns — so
+ * the image is exactly what an uninterrupted run holds at that step.
+ */
+Checkpoint snapshot(const sim::SimulationEngine &engine,
+                    const sim::SimulationReport &report);
+
+/**
+ * Resume a run from `ckpt`: refuse a foreign fingerprint
+ * (requireCompatible), restore the integrator state, and put back the
+ * report's running peak and samples.  advanceSimulation then continues
+ * bitwise identically to the run that took the snapshot.
+ */
+void restore(const Checkpoint &ckpt, sim::SimulationEngine &engine,
+             sim::SimulationReport &report);
+
+/**
  * Serialise `ckpt` and write it to `path` atomically (temp file in the
  * same directory + fsync + rename).  FatalError with errno context on
  * any IO failure.  Returns the serialised byte count.

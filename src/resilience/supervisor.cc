@@ -19,9 +19,6 @@ SupervisorOptions::validate() const
     QUAKE_EXPECT(stallTimeout.count() >= 0,
                  "stallTimeout must be >= 0 ms, got "
                      << stallTimeout.count());
-    QUAKE_EXPECT(pollInterval.count() > 0,
-                 "pollInterval must be positive, got "
-                     << pollInterval.count());
     QUAKE_EXPECT(backoffBase.count() >= 0,
                  "backoffBase must be >= 0 ms, got "
                      << backoffBase.count());
@@ -55,38 +52,29 @@ RunSupervisor::backoffDelay(int retry) const
         static_cast<std::chrono::milliseconds::rep>(ms)};
 }
 
-namespace
+Heartbeat::Heartbeat(std::chrono::milliseconds stallTimeout)
+    : timeout_(stallTimeout), last_(std::chrono::steady_clock::now())
 {
-
-/**
- * Watchdog thread body: poll the heartbeat; when no new beat arrives
- * for `timeout`, cancel the attempt and exit.  `done` stops the
- * watchdog when the attempt finishes on its own.
- */
-void
-watchdogLoop(Heartbeat &hb, std::atomic<bool> &done,
-             std::chrono::milliseconds timeout,
-             std::chrono::milliseconds poll)
-{
-    auto last_change = std::chrono::steady_clock::now();
-    std::uint64_t last_beats = hb.beats();
-    while (!done.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(poll);
-        const std::uint64_t beats = hb.beats();
-        const auto now = std::chrono::steady_clock::now();
-        if (beats != last_beats) {
-            last_beats = beats;
-            last_change = now;
-            continue;
-        }
-        if (now - last_change >= timeout) {
-            hb.cancel();
-            return;
-        }
-    }
 }
 
-} // namespace
+void
+Heartbeat::beat(std::int64_t step)
+{
+    if (timeout_.count() == 0)
+        return;
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last_ > timeout_) {
+        const auto silent =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                now - last_);
+        throw StallError("attempt stalled: no heartbeat for " +
+                         std::to_string(silent.count()) +
+                         " ms before step " + std::to_string(step) +
+                         " (deadline " + std::to_string(timeout_.count()) +
+                         " ms)");
+    }
+    last_ = now;
+}
 
 RunOutcome
 RunSupervisor::supervise(const AttemptFn &attempt, int initialThreads)
@@ -100,46 +88,25 @@ RunSupervisor::supervise(const AttemptFn &attempt, int initialThreads)
                       : parallel::WorkerPool::hardwareThreads();
 
     RunOutcome outcome;
-    Heartbeat hb;
     for (int att = 1; att <= options_.maxAttempts; ++att) {
         outcome.attempts = att;
         outcome.finalThreads = threads;
-        hb.reset();
 
-        std::atomic<bool> done{false};
-        std::thread watchdog;
-        if (options_.stallTimeout.count() > 0)
-            watchdog = std::thread(watchdogLoop, std::ref(hb),
-                                   std::ref(done), options_.stallTimeout,
-                                   options_.pollInterval);
-
-        bool stalled = false;
+        Heartbeat hb(options_.stallTimeout);
         try {
             outcome.report = attempt(threads, hb);
             outcome.succeeded = true;
             outcome.error.clear();
-        } catch (const StallError &e) {
-            stalled = true;
-            outcome.error = e.what();
-        } catch (const std::exception &e) {
-            outcome.error = e.what();
-            // A cancel that surfaced as some other exception is still a
-            // stall for policy purposes.
-            stalled = hb.cancelled();
-        }
-        done.store(true, std::memory_order_relaxed);
-        if (watchdog.joinable())
-            watchdog.join();
-
-        if (outcome.succeeded)
             return outcome;
-
-        if (stalled) {
+        } catch (const StallError &e) {
+            outcome.error = e.what();
             ++outcome.stalls;
             if (options_.degradeThreadsOnStall && threads > 1) {
                 threads = std::max(1, threads / 2);
                 ++outcome.degradations;
             }
+        } catch (const std::exception &e) {
+            outcome.error = e.what();
         }
         if (att < options_.maxAttempts) {
             const auto delay = backoffDelay(att);
@@ -205,109 +172,66 @@ runSupervisedSimulation(const mesh::TetMesh &mesh,
     QUAKE_EXPECT(!options.resume || !options.checkpointPath.empty(),
                  "--resume requires a checkpoint path");
 
-    auto state = std::make_shared<ScenarioState>();
-
-    const AttemptFn attempt = [&, state](int threads,
-                                         Heartbeat &hb) {
+    ScenarioState state;
+    const AttemptFn attempt = [&](int threads, Heartbeat &hb) {
         sim::SimulationConfig cfg = config;
         if (cfg.numPes > 1)
             cfg.smvpThreads = threads;
         sim::SimulationEngine engine =
             sim::makeSimulationEngine(mesh, model, cfg);
-        sim::ExplicitTimeStepper &stepper = *engine.stepper;
 
         sim::SimulationReport report;
         report.dt = engine.dt;
 
         // Resume when asked (first attempt) or when a prior attempt of
         // this very run left a checkpoint behind (retries).
-        ++state->attemptsStarted;
+        ++state.attemptsStarted;
         const bool try_resume =
             !options.checkpointPath.empty() &&
-            (options.resume || state->attemptsStarted > 1) &&
+            (options.resume || state.attemptsStarted > 1) &&
             fileExists(options.checkpointPath);
         if (try_resume) {
-            const Checkpoint ckpt =
-                readCheckpoint(options.checkpointPath);
-            requireCompatible(ckpt, engine);
-            stepper.restoreState(ckpt.state);
-            report.peakDisplacement = ckpt.reportPeak;
-            report.samples = ckpt.samples;
-            ++state->resumes;
-            state->lastResumeStep = ckpt.state.steps;
+            const Checkpoint ckpt = readCheckpoint(options.checkpointPath);
+            restore(ckpt, engine, report);
+            ++state.resumes;
+            state.lastResumeStep = ckpt.state.steps;
             if (cfg.collector != nullptr)
                 cfg.collector->add(0, telemetry::Counter::kRunRestarts,
                                    1);
         }
 
-        if (options.checkpointEvery > 0) {
-            // The hook fires inside step() before the loop folds the
-            // current step into the live report, so fold it here: the
-            // snapshot must equal what an uninterrupted run's report
-            // holds after this step.
-            auto *collector = cfg.collector;
-            auto *report_p = &report;
-            const auto *engine_p = &engine;
-            const int sample_every = cfg.sampleInterval;
-            stepper.checkpointEvery(
-                options.checkpointEvery,
-                [collector, report_p, engine_p, sample_every,
-                 &options](const sim::ExplicitTimeStepper &st) {
-                    Checkpoint ckpt;
-                    ckpt.fingerprint = engine_p->fingerprint;
-                    ckpt.dt = engine_p->dt;
-                    ckpt.plannedSteps = engine_p->plannedSteps;
-                    st.saveState(ckpt.state);
-                    ckpt.reportPeak =
-                        std::max(report_p->peakDisplacement,
-                                 st.peakDisplacement());
-                    ckpt.samples = report_p->samples;
-                    if (sample_every > 0 &&
-                        st.stepCount() % sample_every == 0)
-                        ckpt.samples.push_back(sim::FieldSample{
-                            st.time(), st.peakDisplacement(),
-                            st.kineticEnergy()});
-                    const std::size_t bytes =
-                        writeCheckpoint(options.checkpointPath, ckpt);
-                    if (collector != nullptr && collector->enabled()) {
-                        collector->add(
-                            0, telemetry::Counter::kCheckpointsWritten,
-                            1);
-                        collector->add(
-                            0, telemetry::Counter::kCheckpointBytes,
-                            bytes);
+        // The observer runs after the loop has folded the step into
+        // the report, so the snapshot is exactly what an uninterrupted
+        // run holds there.  Checkpoint first, then beat.
+        telemetry::Collector *tele = cfg.collector;
+        sim::advanceSimulation(
+            engine, cfg, report, [&](std::int64_t step) {
+                if (options.checkpointEvery > 0 &&
+                    step % options.checkpointEvery == 0) {
+                    const std::size_t bytes = writeCheckpoint(
+                        options.checkpointPath, snapshot(engine, report));
+                    if (tele != nullptr && tele->enabled()) {
+                        tele->add(0, telemetry::Counter::kCheckpointsWritten,
+                                  1);
+                        tele->add(0, telemetry::Counter::kCheckpointBytes,
+                                  bytes);
                     }
-                });
-        }
-
-        sim::advanceSimulation(engine, cfg, report,
-                               [&hb](std::int64_t step) {
-                                   hb.beat(step);
-                                   if (hb.cancelled())
-                                       throw StallError(
-                                           "attempt cancelled by the "
-                                           "watchdog (heartbeat stall)");
-                               });
+                }
+                hb.beat(step);
+            });
 
         // Final-state fingerprint for the outcome (and for textual
         // comparison by the kill/resume smoke).
-        Checkpoint fin;
-        fin.fingerprint = engine.fingerprint;
-        fin.dt = engine.dt;
-        fin.plannedSteps = engine.plannedSteps;
-        stepper.saveState(fin.state);
-        fin.reportPeak = report.peakDisplacement;
-        fin.samples = report.samples;
-        state->finalFingerprint = stateFingerprint(fin);
+        state.finalFingerprint = stateFingerprint(snapshot(engine, report));
         return report;
     };
 
     RunSupervisor supervisor(options.supervisor);
     RunOutcome outcome = supervisor.supervise(
         attempt, config.numPes > 1 ? config.smvpThreads : 1);
-    outcome.restarts = state->resumes;
-    outcome.resumedFromStep = state->lastResumeStep;
-    outcome.stateFingerprint = state->finalFingerprint;
+    outcome.restarts = state.resumes;
+    outcome.resumedFromStep = state.lastResumeStep;
+    outcome.stateFingerprint = state.finalFingerprint;
     if (config.collector != nullptr && outcome.degradations > 0) {
         config.collector->ensureSlots(1);
         config.collector->add(0, telemetry::Counter::kRunDegradations,

@@ -1,17 +1,18 @@
 /**
  * @file
- * Watchdog-supervised scenario execution (DESIGN.md §11).  The paper's
- * runs are long — hours of wall time across thousands of SMVP steps —
- * so the resilience layer wraps the stepping loop in a supervisor that
- * (a) heartbeats step progress, (b) cancels an attempt whose heartbeat
- * stalls past a deadline derived from the Eq.(1) per-step model
- * prediction, (c) restores from the last good checkpoint and retries
- * under capped exponential backoff, and (d) degrades the thread count
- * after repeated stalls, on the theory that a straggling core is the
- * most common cause of stuck progress on shared machines.
+ * Supervised scenario execution (DESIGN.md §11).  The paper's runs are
+ * long — hours of wall time across thousands of SMVP steps — so the
+ * resilience layer wraps the stepping loop in a supervisor that
+ * (a) heartbeats step progress from the loop itself, (b) abandons an
+ * attempt whose next beat comes later than a deadline derived from the
+ * Eq.(1) per-step model prediction, (c) restores from the last good
+ * checkpoint and retries under capped exponential backoff, and
+ * (d) degrades the thread count after repeated stalls, on the theory
+ * that a straggling core is the most common cause of stuck progress on
+ * shared machines.  Everything runs on the attempt's own thread.
  *
  * The supervisor is generic over the attempt body so the retry /
- * backoff / watchdog state machine is unit-testable with injected
+ * backoff / stall state machine is unit-testable with injected
  * failures and a fake sleeper; runSupervisedSimulation binds it to the
  * real engine + checkpoint subsystem.
  */
@@ -19,10 +20,10 @@
 #ifndef QUAKE98_RESILIENCE_SUPERVISOR_H_
 #define QUAKE98_RESILIENCE_SUPERVISOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "core/perf_model.h"
@@ -32,61 +33,7 @@
 namespace quake::resilience
 {
 
-/**
- * Shared progress channel between an attempt and its watchdog: the
- * attempt beats once per completed step; the watchdog cancels by flag,
- * which the attempt observes at its next step boundary.
- */
-class Heartbeat
-{
-  public:
-    /** Record progress at `step` (called by the attempt, per step). */
-    void
-    beat(std::int64_t step)
-    {
-        last_step_.store(step, std::memory_order_relaxed);
-        beats_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** Most recent step reported. */
-    std::int64_t
-    lastStep() const
-    {
-        return last_step_.load(std::memory_order_relaxed);
-    }
-
-    /** Total beats observed (monotone; the watchdog watches this). */
-    std::uint64_t
-    beats() const
-    {
-        return beats_.load(std::memory_order_relaxed);
-    }
-
-    /** Ask the attempt to stop at its next step boundary. */
-    void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-
-    bool
-    cancelled() const
-    {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-
-    /** Re-arm for the next attempt. */
-    void
-    reset()
-    {
-        last_step_.store(0, std::memory_order_relaxed);
-        beats_.store(0, std::memory_order_relaxed);
-        cancelled_.store(false, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::int64_t> last_step_{0};
-    std::atomic<std::uint64_t> beats_{0};
-    std::atomic<bool> cancelled_{false};
-};
-
-/** Thrown inside an attempt when the watchdog cancels it. */
+/** Thrown by Heartbeat::beat when an attempt stalls. */
 struct StallError : std::runtime_error
 {
     explicit StallError(const std::string &what)
@@ -95,21 +42,39 @@ struct StallError : std::runtime_error
     }
 };
 
-/** Retry / watchdog policy. */
+/**
+ * Step-progress check of one attempt, single-threaded: the attempt's
+ * step loop beats once per completed step, and a beat that comes more
+ * than the stall timeout after the previous one — or after the attempt
+ * started, so engine construction counts — throws StallError.
+ */
+class Heartbeat
+{
+  public:
+    /** Arm for one attempt; 0 disables the check. */
+    explicit Heartbeat(std::chrono::milliseconds stallTimeout);
+
+    /** Record progress at `step`; throws StallError on a stall. */
+    void beat(std::int64_t step);
+
+  private:
+    std::chrono::milliseconds timeout_;
+    std::chrono::steady_clock::time_point last_;
+};
+
+/** Retry / stall policy. */
 struct SupervisorOptions
 {
     /** Maximum attempts (first run + retries); >= 1. */
     int maxAttempts = 3;
 
     /**
-     * Watchdog deadline: cancel the attempt when no heartbeat arrives
-     * for this long.  0 disables the watchdog (retry policy still
-     * applies to thrown failures).
+     * Stall deadline: abandon the attempt when a heartbeat comes more
+     * than this long after the previous one (or after the attempt
+     * started).  0 disables the check (retry policy still applies to
+     * thrown failures).
      */
     std::chrono::milliseconds stallTimeout{0};
-
-    /** Watchdog poll interval. */
-    std::chrono::milliseconds pollInterval{50};
 
     /** First backoff delay before a retry. */
     std::chrono::milliseconds backoffBase{100};
@@ -121,9 +86,9 @@ struct SupervisorOptions
     std::chrono::milliseconds backoffCap{5000};
 
     /**
-     * Halve the attempt's thread budget after a stall-cancelled
-     * attempt (never below 1).  Thread-count changes are bitwise-safe:
-     * the engine is proven invariant across thread counts.
+     * Halve the attempt's thread budget after a stalled attempt (never
+     * below 1).  Thread-count changes are bitwise-safe: the engine is
+     * proven invariant across thread counts.
      */
     bool degradeThreadsOnStall = true;
 
@@ -138,7 +103,7 @@ struct RunOutcome
     int attempts = 0;       ///< attempts started (>= 1)
     int restarts = 0;       ///< attempts that resumed from a checkpoint
     int degradations = 0;   ///< thread-budget halvings applied
-    int stalls = 0;         ///< attempts cancelled by the watchdog
+    int stalls = 0;         ///< attempts abandoned as stalled
     std::int64_t resumedFromStep = 0; ///< last resume point (0 = cold)
     int finalThreads = 0;   ///< thread budget of the final attempt
     std::string error;      ///< last failure message when !succeeded
@@ -148,8 +113,8 @@ struct RunOutcome
 
 /**
  * The per-attempt body: run (or resume) the scenario under `threads`,
- * beating `heartbeat` every step and aborting promptly once
- * heartbeat.cancelled().  Throws to report failure.
+ * beating `heartbeat` every step, which throws StallError when the
+ * attempt stalls.  Throws to report failure.
  */
 using AttemptFn =
     std::function<sim::SimulationReport(int threads, Heartbeat &heartbeat)>;
@@ -158,12 +123,12 @@ using AttemptFn =
 using SleepFn = std::function<void(std::chrono::milliseconds)>;
 
 /**
- * Retry/backoff/watchdog driver, generic over the attempt body.
- * Runs `attempt` up to options.maxAttempts times; between attempts
- * sleeps min(cap, base * factor^(retries-1)); when the watchdog is
- * armed, a heartbeat silence past stallTimeout cancels the attempt
- * (cooperatively — the attempt must poll heartbeat.cancelled()) and
- * optionally halves the thread budget for the next one.
+ * Retry/backoff/stall driver, generic over the attempt body.  Runs
+ * `attempt` up to options.maxAttempts times; between attempts sleeps
+ * min(cap, base * factor^(retries-1)); an attempt that throws
+ * StallError (its heartbeat, armed with stallTimeout, saw a silence
+ * past the deadline) counts as a stall and optionally halves the
+ * thread budget for the next one.
  */
 class RunSupervisor
 {
@@ -191,7 +156,7 @@ class RunSupervisor
  * perf_model.h): predicted SMVP seconds
  *   T_smvp = F * T_f + C_max * T_c
  * for the shape under per-flop time `tf` and per-word time `tc`, times
- * `slack`.  Gives the watchdog a model-informed timeout instead of a
+ * `slack`.  Gives the stall check a model-informed timeout instead of a
  * magic constant; clamped below by `floor` so tiny problems aren't
  * starved by timer granularity.  FatalError on non-positive slack/tf
  * or negative tc.
@@ -219,10 +184,11 @@ struct ResilientRunOptions
 
 /**
  * Run the full scenario under supervision: build the engine, optionally
- * restore from options.checkpointPath, advance with per-step heartbeat
- * + periodic atomic checkpoints, and on failure restore from the last
- * good checkpoint and retry per the supervisor policy.  config's
- * smvpThreads seeds the (degradable) thread budget.
+ * restore from options.checkpointPath, advance with a step observer
+ * that writes periodic atomic checkpoints and then beats the
+ * heartbeat, and on failure restore from the last good checkpoint and
+ * retry per the supervisor policy.  config's smvpThreads seeds the
+ * (degradable) thread budget.
  */
 RunOutcome runSupervisedSimulation(const mesh::TetMesh &mesh,
                                    const mesh::SoilModel &model,

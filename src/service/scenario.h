@@ -91,7 +91,6 @@ struct ScenarioRequest
      */
     bool faults = false;
     double faultDropRate = 1e-3; ///< in [0, 1]
-    std::uint64_t faultSeed = 0x5eed;
 
     /**
      * SLO deadline for the whole scenario, milliseconds of wall time;

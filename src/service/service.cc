@@ -127,21 +127,6 @@ faultInflation(const ScenarioRequest &req)
     return 1.0 / (1.0 - r) + 4.0 * r;
 }
 
-/** Final-state fingerprint, exactly as the resilience supervisor. */
-std::uint64_t
-finalStateFingerprint(const sim::SimulationEngine &engine,
-                      const sim::SimulationReport &report)
-{
-    resilience::Checkpoint fin;
-    fin.fingerprint = engine.fingerprint;
-    fin.dt = engine.dt;
-    fin.plannedSteps = engine.plannedSteps;
-    engine.stepper->saveState(fin.state);
-    fin.reportPeak = report.peakDisplacement;
-    fin.samples = report.samples;
-    return resilience::stateFingerprint(fin);
-}
-
 } // namespace
 
 void
@@ -167,9 +152,6 @@ ServiceOptions::validate() const
     QUAKE_EXPECT(admitSlack > 0 && std::isfinite(admitSlack),
                  "admitSlack must be positive and finite, got "
                      << admitSlack);
-    QUAKE_EXPECT(maxQueueWaitSeconds >= 0,
-                 "maxQueueWaitSeconds must be >= 0, got "
-                     << maxQueueWaitSeconds);
 }
 
 struct ScenarioService::Impl
@@ -261,16 +243,9 @@ ScenarioService::Impl::execute(const ScenarioRequest &request,
     result.queueSeconds = secondsSince(enqueued);
 
     // Queue-wait shedding: a request that aged out in the queue has
-    // already spent its budget — refuse it before any prefix work.
+    // already spent its deadline budget — refuse it before any prefix
+    // work.
     const double deadline_s = request.deadlineMs / 1000.0;
-    if (opt.maxQueueWaitSeconds > 0 &&
-        result.queueSeconds > opt.maxQueueWaitSeconds) {
-        std::ostringstream os;
-        os << "shed: queued " << result.queueSeconds
-           << " s, max queue wait " << opt.maxQueueWaitSeconds << " s";
-        result.error = os.str();
-        return result;
-    }
     if (deadline_s > 0 && result.queueSeconds > deadline_s) {
         std::ostringstream os;
         os << "shed: queued " << result.queueSeconds
@@ -371,7 +346,7 @@ ScenarioService::Impl::execute(const ScenarioRequest &request,
         const double tc = opt.modelTcSecondsPerWord;
         const core::SmvpShape shape =
             admissionShape(prefix, request.tenant);
-        // The supervisor's model path: the per-step watchdog deadline
+        // The supervisor's model path: the per-step stall deadline
         // modelStepDeadline derives (floor included) bounds a single
         // healthy step, and the full-run prediction scales the same
         // Eq. (1) step estimate out to plannedSteps.
@@ -384,7 +359,7 @@ ScenarioService::Impl::execute(const ScenarioRequest &request,
             opt.admitSlack * step_seconds *
             static_cast<double>(engine.plannedSteps) *
             faultInflation(request);
-        if (deadline_s > 0 && opt.shedOnPredictedMiss) {
+        if (deadline_s > 0) {
             const bool step_over =
                 static_cast<double>(step_deadline.count()) / 1000.0 >
                 deadline_s;
@@ -432,8 +407,8 @@ ScenarioService::Impl::execute(const ScenarioRequest &request,
            << " of " << engine.plannedSteps;
         result.error = os.str();
     }
-    result.stateFingerprint =
-        finalStateFingerprint(engine, result.report);
+    result.stateFingerprint = resilience::stateFingerprint(
+        resilience::snapshot(engine, result.report));
     result.stepSeconds = secondsSince(step_t0);
     return result;
 }
@@ -659,8 +634,8 @@ ScenarioService::runStandalone(const ScenarioRequest &request)
     sim::advanceSimulation(engine, config, result.report);
     result.stepSeconds = secondsSince(t0);
     result.completed = true;
-    result.stateFingerprint =
-        finalStateFingerprint(engine, result.report);
+    result.stateFingerprint = resilience::stateFingerprint(
+        resilience::snapshot(engine, result.report));
     return result;
 }
 

@@ -70,24 +70,17 @@ struct ServiceOptions
 
     /**
      * Eq. (1) machine model for admission control: sustained MFLOPS
-     * and amortized seconds per communication word.  modelMflops == 0
-     * disables model-based admission (requests are admitted and only
-     * the runtime deadline observer enforces the SLO).
+     * and amortized seconds per communication word.  A request with a
+     * deadline is shed when the model predicts it will miss it.
+     * modelMflops == 0 disables model-based admission: a request is
+     * then shed only when it already waited past its deadline in the
+     * queue, and the runtime deadline observer enforces the SLO.
      */
     double modelMflops = 0.0;
     double modelTcSecondsPerWord = 0.0;
 
     /** Slack multiplier on the model prediction (supervisor-style). */
     double admitSlack = 3.0;
-
-    /** Shed requests the model predicts will miss their deadline. */
-    bool shedOnPredictedMiss = true;
-
-    /**
-     * Shed requests that waited in the queue longer than this many
-     * seconds (their deadline budget is already spent); 0 disables.
-     */
-    double maxQueueWaitSeconds = 0.0;
 
     /**
      * Directory for streamed per-scenario result records (atomic

@@ -1048,41 +1048,6 @@ checkpointsBitwiseEqual(const resilience::Checkpoint &a,
     return true;
 }
 
-/** The snapshot the supervisor's hook takes, replicated for the harness. */
-resilience::Checkpoint
-snapshotAtHook(const sim::SimulationEngine &engine,
-               const sim::ExplicitTimeStepper &st,
-               const sim::SimulationReport &report, int sample_every)
-{
-    resilience::Checkpoint ckpt;
-    ckpt.fingerprint = engine.fingerprint;
-    ckpt.dt = engine.dt;
-    ckpt.plannedSteps = engine.plannedSteps;
-    st.saveState(ckpt.state);
-    ckpt.reportPeak =
-        std::max(report.peakDisplacement, st.peakDisplacement());
-    ckpt.samples = report.samples;
-    if (sample_every > 0 && st.stepCount() % sample_every == 0)
-        ckpt.samples.push_back(sim::FieldSample{
-            st.time(), st.peakDisplacement(), st.kineticEnergy()});
-    return ckpt;
-}
-
-/** Final-state checkpoint of a finished run (for golden comparison). */
-resilience::Checkpoint
-finalSnapshot(const sim::SimulationEngine &engine,
-              const sim::SimulationReport &report)
-{
-    resilience::Checkpoint ckpt;
-    ckpt.fingerprint = engine.fingerprint;
-    ckpt.dt = engine.dt;
-    ckpt.plannedSteps = engine.plannedSteps;
-    engine.stepper->saveState(ckpt.state);
-    ckpt.reportPeak = report.peakDisplacement;
-    ckpt.samples = report.samples;
-    return ckpt;
-}
-
 PropertyResult
 propCheckpointRoundtrip(const TrialConfig &cfg)
 {
@@ -1098,9 +1063,8 @@ propCheckpointRoundtrip(const TrialConfig &cfg)
     goldenReport.dt = golden.dt;
     sim::advanceSimulation(golden, config, goldenReport);
 
-    // Checkpointed run: the real stepper hook fires every k steps; each
-    // snapshot must equal the loop-level view of the same step, and the
-    // serialized image must parse back bitwise.
+    // Checkpointed run: the loop's observer snapshots every k steps,
+    // and each serialized image must parse back bitwise.
     const std::int64_t k =
         1 + static_cast<std::int64_t>(
                 gen.rng().nextBounded(
@@ -1112,48 +1076,31 @@ propCheckpointRoundtrip(const TrialConfig &cfg)
 
     sim::SimulationReport report;
     report.dt = run.dt;
-    std::vector<resilience::Checkpoint> hooked;
-    run.stepper->checkpointEvery(
-        k, [&](const sim::ExplicitTimeStepper &st) {
-            hooked.push_back(snapshotAtHook(run, st, report,
-                                            config.sampleInterval));
-        });
-    std::vector<resilience::Checkpoint> observed;
-    sim::advanceSimulation(run, config, report,
-                           [&](std::int64_t step) {
-                               if (step % k != 0)
-                                   return;
-                               resilience::Checkpoint c =
-                                   finalSnapshot(run, report);
-                               observed.push_back(std::move(c));
-                           });
-    if (hooked.size() != observed.size() || hooked.empty())
-        return fail("hook fired " + std::to_string(hooked.size()) +
-                    " times, loop observed " +
-                    std::to_string(observed.size()));
-    for (std::size_t i = 0; i < hooked.size(); ++i) {
+    std::vector<resilience::Checkpoint> taken;
+    sim::advanceSimulation(run, config, report, [&](std::int64_t step) {
+        if (step % k == 0)
+            taken.push_back(resilience::snapshot(run, report));
+    });
+    if (taken.empty())
+        return fail("no snapshot taken at interval " + std::to_string(k));
+    for (const resilience::Checkpoint &c : taken) {
         std::string why;
-        if (!checkpointsBitwiseEqual(hooked[i], observed[i], &why))
-            return fail("hook snapshot " + std::to_string(i) +
-                        " diverges from the loop view: " + why);
-        const std::vector<std::uint8_t> bytes =
-            resilience::serializeCheckpoint(hooked[i]);
-        const resilience::Checkpoint back =
-            resilience::parseCheckpoint(bytes, "in-memory");
-        if (!checkpointsBitwiseEqual(hooked[i], back, &why))
+        const resilience::Checkpoint back = resilience::parseCheckpoint(
+            resilience::serializeCheckpoint(c), "in-memory");
+        if (!checkpointsBitwiseEqual(c, back, &why))
             return fail("serialize/parse round trip lost " + why);
     }
 
     // The checkpointed run itself must be bitwise identical to golden —
-    // hooks are observation-only.
+    // snapshots are observation-only.
     std::string why;
-    if (!checkpointsBitwiseEqual(finalSnapshot(golden, goldenReport),
-                                 finalSnapshot(run, report), &why))
+    if (!checkpointsBitwiseEqual(resilience::snapshot(golden, goldenReport),
+                                 resilience::snapshot(run, report), &why))
         return fail("checkpointing perturbed the run: " + why);
 
     // Any single corrupted byte must be refused.
     std::vector<std::uint8_t> bytes =
-        resilience::serializeCheckpoint(hooked.back());
+        resilience::serializeCheckpoint(taken.back());
     const std::size_t victim =
         gen.rng().nextBounded(static_cast<std::uint64_t>(bytes.size()));
     bytes[victim] ^= 0x40;
@@ -1171,7 +1118,7 @@ propCheckpointRoundtrip(const TrialConfig &cfg)
     sim::SimulationEngine other =
         sim::makeSimulationEngine(sys.mesh, *sys.model, skew);
     try {
-        resilience::requireCompatible(hooked.back(), other);
+        resilience::requireCompatible(taken.back(), other);
         return fail("resumed against a mismatched fingerprint");
     } catch (const common::FatalError &) {
         // expected
@@ -1194,9 +1141,9 @@ propCheckpointKillResume(const TrialConfig &cfg)
     goldenReport.dt = golden.dt;
     sim::advanceSimulation(golden, config, goldenReport);
 
-    // Crash run: checkpoint every k steps through the real hook, then
-    // die at a random step >= k (an exception abandons the engine the
-    // way SIGKILL abandons the process — the checkpoint is all that
+    // Crash run: checkpoint every k steps from the loop's observer,
+    // then die at a random step >= k (an exception abandons the engine
+    // the way SIGKILL abandons the process — the checkpoint is all that
     // survives).
     const std::int64_t k =
         1 + static_cast<std::int64_t>(gen.rng().nextBounded(
@@ -1214,18 +1161,16 @@ propCheckpointKillResume(const TrialConfig &cfg)
             sim::makeSimulationEngine(sys.mesh, *sys.model, config);
         sim::SimulationReport report;
         report.dt = run.dt;
-        run.stepper->checkpointEvery(
-            k, [&](const sim::ExplicitTimeStepper &st) {
-                last = snapshotAtHook(run, st, report,
-                                      config.sampleInterval);
-                have = true;
-            });
         try {
-            sim::advanceSimulation(run, config, report,
-                                   [&](std::int64_t step) {
-                                       if (step >= die)
-                                           throw SimulatedCrash{};
-                                   });
+            sim::advanceSimulation(
+                run, config, report, [&](std::int64_t step) {
+                    if (step % k == 0) {
+                        last = resilience::snapshot(run, report);
+                        have = true;
+                    }
+                    if (step >= die)
+                        throw SimulatedCrash{};
+                });
         } catch (const SimulatedCrash &) {
             // the "kill"
         }
@@ -1240,18 +1185,15 @@ propCheckpointKillResume(const TrialConfig &cfg)
         reshuffleExecution(gen, config, cfg);
     sim::SimulationEngine resumed =
         sim::makeSimulationEngine(sys.mesh, *sys.model, resumeCfg);
-    resilience::requireCompatible(last, resumed);
-    resumed.stepper->restoreState(last.state);
     sim::SimulationReport report;
     report.dt = resumed.dt;
-    report.peakDisplacement = last.reportPeak;
-    report.samples = last.samples;
+    resilience::restore(last, resumed, report);
     sim::advanceSimulation(resumed, resumeCfg, report);
 
     std::string why;
     const bool strictEnergy = resumeCfg.fusedStep == config.fusedStep;
-    if (!checkpointsBitwiseEqual(finalSnapshot(golden, goldenReport),
-                                 finalSnapshot(resumed, report), &why,
+    if (!checkpointsBitwiseEqual(resilience::snapshot(golden, goldenReport),
+                                 resilience::snapshot(resumed, report), &why,
                                  strictEnergy))
         return fail("resumed run diverged from golden at " + why +
                     " (checkpoint step " +
@@ -1656,8 +1598,8 @@ allProperties()
          "allocations",
          propTelemetryTransparent},
         {"checkpoint_roundtrip",
-         "checkpoint snapshots match the loop view, round-trip bitwise, "
-         "and refuse any corrupted byte or fingerprint skew",
+         "checkpoint snapshots round-trip bitwise, leave the run "
+         "unperturbed, and refuse any corrupted byte or fingerprint skew",
          propCheckpointRoundtrip},
         {"checkpoint_kill_resume",
          "a run killed at a random step and resumed from its checkpoint "

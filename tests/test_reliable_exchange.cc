@@ -360,31 +360,4 @@ TEST(ReliableExchange, RejectsMalformedOptions)
                  FatalError);
 }
 
-TEST(ReliableExchange, FaultInjectedEventSimDropsWithoutRecovery)
-{
-    // The baseline simulator with a FaultModel injects but does not
-    // recover: dropped messages stay dropped and are reported.
-    const CommSchedule schedule = latticeSchedule(8);
-    FaultSpec spec;
-    spec.seed = 11;
-    spec.dropProbability = 0.3;
-    const FaultModel faults(spec, schedule.numPes());
-
-    EventSimOptions options;
-    options.faults = &faults;
-    const EventSimResult r =
-        simulateExchange(schedule, crayT3e(), options);
-
-    EXPECT_GT(r.messagesDropped, 0);
-    EXPECT_EQ(r.messagesSent, totalDirectedMessages(schedule));
-    EXPECT_EQ(r.messagesDelivered,
-              r.messagesSent - r.messagesDropped +
-                  r.duplicatesDelivered);
-
-    const EventSimResult again =
-        simulateExchange(schedule, crayT3e(), options);
-    EXPECT_EQ(r.peFinishTime, again.peFinishTime);
-    EXPECT_EQ(r.messagesDropped, again.messagesDropped);
-}
-
 } // namespace

@@ -4,9 +4,9 @@
  * serialization round trips and the corruption-refusal sweep, atomic
  * file IO with errno context, bitwise save/restore continuation of the
  * integrator, the retry/backoff/degradation state machine with injected
- * failures and a fake sleeper, the watchdog's stall cancellation, the
- * Eq. (1) model-informed deadline, and end-to-end supervised runs that
- * resume from their own checkpoints.
+ * failures and a fake sleeper, the heartbeat's stall check, the Eq. (1)
+ * model-informed deadline, end-to-end supervised runs that resume from
+ * their own checkpoints, and FNV-1a pins of the checkpoint bytes.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #endif
 
 #include "common/error.h"
+#include "common/fnv.h"
 #include "mesh/generator.h"
 #include "mesh/soil_model.h"
 #include "quake/simulation.h"
@@ -413,10 +416,6 @@ TEST(SupervisorOptions, ValidateRejectsNonsense)
     EXPECT_THROW(o.validate(), FatalError);
 
     o = {};
-    o.pollInterval = std::chrono::milliseconds{0};
-    EXPECT_THROW(o.validate(), FatalError);
-
-    o = {};
     o.backoffFactor = 0.5;
     EXPECT_THROW(o.validate(), FatalError);
 
@@ -566,28 +565,103 @@ TEST(RunSupervisor, ZeroBudgetFollowsTheAffinityMask)
 }
 #endif
 
-TEST(RunSupervisor, WatchdogCancelsASilentAttempt)
+// The stall tests sleep for real: a beat is a stall once more than
+// stallTimeout of steady-clock time has passed, and sleeping three
+// timeouts guarantees that on any host.  The fake sleeper only skips
+// the backoff between attempts.
+
+TEST(RunSupervisor, BeatAfterSilencePastTimeoutStallsAndHalvesBudget)
+{
+    resilience::SupervisorOptions o;
+    o.maxAttempts = 2;
+    o.stallTimeout = std::chrono::milliseconds{20};
+    resilience::RunSupervisor sup(o,
+                                  [](std::chrono::milliseconds) {});
+
+    std::vector<int> thread_budgets;
+    const resilience::RunOutcome out = sup.supervise(
+        [&](int threads,
+            resilience::Heartbeat &hb) -> sim::SimulationReport {
+            thread_budgets.push_back(threads);
+            hb.beat(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds{60});
+            hb.beat(2); // 60 ms of silence: must throw StallError
+            ADD_FAILURE() << "a beat after the timeout did not stall";
+            return {};
+        },
+        8);
+
+    EXPECT_FALSE(out.succeeded);
+    EXPECT_EQ(out.stalls, 2);
+    EXPECT_EQ(out.degradations, 2);
+    EXPECT_EQ(thread_budgets, (std::vector<int>{8, 4}));
+    EXPECT_NE(out.error.find("stalled"), std::string::npos) << out.error;
+}
+
+TEST(RunSupervisor, BeatsInsideTimeoutNeverStall)
 {
     resilience::SupervisorOptions o;
     o.maxAttempts = 1;
-    o.stallTimeout = std::chrono::milliseconds{80};
-    o.pollInterval = std::chrono::milliseconds{5};
+    o.stallTimeout = std::chrono::milliseconds{10000};
     resilience::RunSupervisor sup(o,
                                   [](std::chrono::milliseconds) {});
 
     const resilience::RunOutcome out = sup.supervise(
-        [&](int,
-            resilience::Heartbeat &hb) -> sim::SimulationReport {
-            hb.beat(1); // one beat, then silence
-            while (!hb.cancelled())
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds{2});
-            throw resilience::StallError("cancelled by watchdog");
+        [&](int, resilience::Heartbeat &hb) -> sim::SimulationReport {
+            for (std::int64_t step = 1; step <= 20; ++step) {
+                std::this_thread::sleep_for(std::chrono::milliseconds{1});
+                hb.beat(step);
+            }
+            sim::SimulationReport r;
+            r.steps = 20;
+            return r;
         },
-        1);
+        4);
+
+    EXPECT_TRUE(out.succeeded) << out.error;
+    EXPECT_EQ(out.stalls, 0);
+    EXPECT_EQ(out.finalThreads, 4);
+    EXPECT_EQ(out.report.steps, 20);
+}
+
+TEST(RunSupervisor, SlowStartBeforeFirstBeatIsAStall)
+{
+    // The silence clock starts with the attempt, so a slow engine build
+    // counts against the first beat.
+    resilience::SupervisorOptions o;
+    o.maxAttempts = 1;
+    o.stallTimeout = std::chrono::milliseconds{20};
+    resilience::RunSupervisor sup(o,
+                                  [](std::chrono::milliseconds) {});
+
+    const resilience::RunOutcome out = sup.supervise(
+        [&](int, resilience::Heartbeat &hb) -> sim::SimulationReport {
+            std::this_thread::sleep_for(std::chrono::milliseconds{60});
+            hb.beat(1);
+            ADD_FAILURE() << "the first beat after a slow start did not "
+                             "stall";
+            return {};
+        },
+        2);
 
     EXPECT_FALSE(out.succeeded);
     EXPECT_EQ(out.stalls, 1);
+    EXPECT_EQ(out.degradations, 1);
+}
+
+TEST(RunSupervisor, ZeroTimeoutDisablesTheStallCheck)
+{
+    resilience::RunSupervisor sup(resilience::SupervisorOptions{},
+                                  [](std::chrono::milliseconds) {});
+    const resilience::RunOutcome out = sup.supervise(
+        [&](int, resilience::Heartbeat &hb) -> sim::SimulationReport {
+            std::this_thread::sleep_for(std::chrono::milliseconds{30});
+            hb.beat(1);
+            return {};
+        },
+        1);
+    EXPECT_TRUE(out.succeeded) << out.error;
+    EXPECT_EQ(out.stalls, 0);
 }
 
 TEST(ModelStepDeadline, FollowsEq1AndClampsToFloor)
@@ -725,6 +799,61 @@ TEST(SupervisedRun, RejectsInconsistentOptions)
     EXPECT_THROW(resilience::runSupervisedSimulation(
                      lat.mesh, lat.model, latticeConfig(), opts),
                  FatalError);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint bytes pinned by FNV-1a: the values were recorded from the
+// library before checkpoints moved from a stepper hook into the run
+// loop's observer, so the move provably kept every byte.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fileHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), 1568u);
+    return common::fnv1a(bytes.data(), bytes.size());
+}
+
+TEST(CheckpointPin, SupervisedRunFileBytes)
+{
+    // The lattice scenario checkpointed every 5 of 12 steps: the file
+    // left behind holds step 10.
+    const Lattice lat;
+    const std::string path = "test_resilience_pin.ckpt";
+    std::remove(path.c_str());
+    resilience::ResilientRunOptions opts;
+    opts.checkpointPath = path;
+    opts.checkpointEvery = 5;
+    const resilience::RunOutcome out = resilience::runSupervisedSimulation(
+        lat.mesh, lat.model, latticeConfig(), opts);
+    ASSERT_TRUE(out.succeeded) << out.error;
+    EXPECT_EQ(fileHash(path), 0x67dd7a361185817aULL);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointPin, StepSixSnapshotBytes)
+{
+    // checkpoint_tool's snapshot: the same scenario at step 6, taken
+    // from the run loop's observer.
+    const Lattice lat;
+    const sim::SimulationConfig config = latticeConfig();
+    sim::SimulationEngine engine =
+        sim::makeSimulationEngine(lat.mesh, lat.model, config);
+    sim::SimulationReport report;
+    report.dt = engine.dt;
+    resilience::Checkpoint mid;
+    sim::advanceSimulation(engine, config, report, [&](std::int64_t step) {
+        if (step == 6)
+            mid = resilience::snapshot(engine, report);
+    });
+    const std::vector<std::uint8_t> bytes =
+        resilience::serializeCheckpoint(mid);
+    EXPECT_EQ(bytes.size(), 1544u);
+    EXPECT_EQ(common::fnv1a(bytes.data(), bytes.size()),
+              0xe3dfa0cb8a908f6bULL);
 }
 
 } // namespace
