@@ -13,15 +13,18 @@
  *                 acceptance gate);
  *   checkpointed  an observer snapshots the run and writes it
  *                 atomically to disk every --every steps, timing each
- *                 write;
+ *                 checkpoint (snapshot + write);
  *   resumed       a fresh engine restored from the last on-disk
  *                 checkpoint and advanced to the same final step — its
  *                 displacement triad must be bitwise identical to both
  *                 runs above (checkpointing must not perturb, and
  *                 resuming must not diverge).
  *
- * Also times readCheckpoint in isolation.  Emits BENCH_checkpoint.json
- * for the perf trajectory.  Exit status reflects correctness only:
+ * The stepping overhead is the median per-checkpoint cost spread over
+ * the --every plain steps it covers: a ratio of two whole-run wall
+ * times would measure run-to-run noise, not checkpoints.  Also times
+ * readCheckpoint in isolation.  Emits BENCH_checkpoint.json for the
+ * perf trajectory.  Exit status reflects correctness only:
  * nonzero iff the zero-allocation contract or any bitwise comparison
  * fails.
  *
@@ -31,67 +34,17 @@
 
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "common/allocation_counter.h"
 #include "common/error.h"
 #include "quake/simulation.h"
 #include "quake/time_stepper.h"
 #include "resilience/checkpoint.h"
-
-// ---------------------------------------------------------------------
-// Allocation-counting hook: every heap allocation in the process goes
-// through here.  Counting is relaxed-atomic so the hook itself never
-// perturbs the timing it guards.
-// ---------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::int64_t> g_allocations{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -122,7 +75,7 @@ timeRun(sim::SimulationEngine &engine, const sim::SimulationConfig &config,
 {
     const sim::ExplicitTimeStepper &stepper = *engine.stepper;
     const std::int64_t alloc0 =
-        g_allocations.load(std::memory_order_relaxed);
+        common::allocationCounter().load(std::memory_order_relaxed);
     const auto t0 = std::chrono::steady_clock::now();
     sim::advanceSimulation(engine, config, report, observer);
     const auto t1 = std::chrono::steady_clock::now();
@@ -130,11 +83,19 @@ timeRun(sim::SimulationEngine &engine, const sim::SimulationConfig &config,
     RunResult r;
     r.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
     r.allocations =
-        g_allocations.load(std::memory_order_relaxed) - alloc0;
+        common::allocationCounter().load(std::memory_order_relaxed) - alloc0;
     r.u = stepper.displacement();
     r.up = stepper.previousDisplacement();
     r.peak = stepper.peakDisplacement();
     return r;
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
 }
 
 bool
@@ -194,24 +155,25 @@ main(int argc, char **argv)
     // --- Checkpointed run: a real atomic write every `every` steps. ---
     sim::SimulationEngine ckpt_engine =
         sim::makeSimulationEngine(m, model, config);
-    std::int64_t writes = 0;
     std::size_t ckpt_bytes = 0;
     double write_seconds = 0.0;
+    std::vector<double> ckpt_seconds; // snapshot + write, per checkpoint
     ckpt_engine.stepper->step(); // warm-up, same absolute step index
     sim::SimulationReport ckpt_report;
     const RunResult ckpt = timeRun(
         ckpt_engine, config, ckpt_report, [&](std::int64_t step) {
             if (step % every != 0)
                 return;
+            const auto c0 = std::chrono::steady_clock::now();
             const resilience::Checkpoint c =
                 resilience::snapshot(ckpt_engine, ckpt_report);
             const auto w0 = std::chrono::steady_clock::now();
             ckpt_bytes = resilience::writeCheckpoint(path, c);
-            const auto w1 = std::chrono::steady_clock::now();
-            write_seconds +=
-                std::chrono::duration<double>(w1 - w0).count();
-            ++writes;
+            write_seconds += secondsSince(w0);
+            ckpt_seconds.push_back(secondsSince(c0));
         });
+    const std::int64_t writes =
+        static_cast<std::int64_t>(ckpt_seconds.size());
     QUAKE_EXPECT(writes > 0, "no checkpoint written in " << steps
                                  << " steps at interval " << every);
 
@@ -222,8 +184,7 @@ main(int argc, char **argv)
         const auto r0 = std::chrono::steady_clock::now();
         const resilience::Checkpoint back =
             resilience::readCheckpoint(path);
-        const auto r1 = std::chrono::steady_clock::now();
-        read_seconds += std::chrono::duration<double>(r1 - r0).count();
+        read_seconds += secondsSince(r0);
         QUAKE_EXPECT(back.fingerprint == ckpt_engine.fingerprint,
                      "read-back checkpoint fingerprint mismatch");
     }
@@ -252,9 +213,13 @@ main(int argc, char **argv)
     // --- Report. ---
     const double plain_rate = steps / plain.wallSeconds;
     const double ckpt_rate = steps / ckpt.wallSeconds;
+    // The median checkpoint's cost, spread over the `every` plain steps
+    // one checkpoint covers.
+    const auto mid = ckpt_seconds.begin() + writes / 2;
+    std::nth_element(ckpt_seconds.begin(), mid, ckpt_seconds.end());
+    const double ckpt_ms = *mid * 1e3;
     const double overhead_pct =
-        100.0 * (ckpt.wallSeconds - plain.wallSeconds) /
-        plain.wallSeconds;
+        100.0 * *mid / (every * plain.wallSeconds / steps);
     const double write_ms = write_seconds / writes * 1e3;
     const double read_ms = read_seconds / read_reps * 1e3;
 
@@ -274,13 +239,17 @@ main(int argc, char **argv)
 
     std::cout << "\ncheckpoints written: " << writes << " ("
               << ckpt_bytes << " bytes each)\n"
+              << "checkpoint cost     : "
+              << common::formatFixed(ckpt_ms, 3)
+              << " ms median (snapshot + write)\n"
               << "write latency       : "
               << common::formatFixed(write_ms, 3) << " ms/checkpoint\n"
               << "read latency        : "
               << common::formatFixed(read_ms, 3) << " ms/checkpoint\n"
               << "stepping overhead   : "
               << common::formatFixed(overhead_pct, 2) << "% at 1/"
-              << every << " steps\n"
+              << every << " steps (median cost / " << every
+              << " plain steps)\n"
               << "resumed from step " << resumed_from << " of " << target
               << "\n\n"
               << "zero allocations with checkpointing disabled: "
@@ -308,6 +277,7 @@ main(int argc, char **argv)
     };
     add_row("plain", plain);
     add_row("checkpointed", ckpt);
+    records.back().extra.emplace_back("ckpt_ms_p50", ckpt_ms);
     records.back().extra.emplace_back("ckpt_write_ms", write_ms);
     records.back().extra.emplace_back("ckpt_read_ms", read_ms);
     records.back().extra.emplace_back(

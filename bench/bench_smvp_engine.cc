@@ -6,11 +6,13 @@
  * formats in spark::KernelSuite — on an sf10-class generated mesh.
  *
  * Emits BENCH_smvp.json (host info, per-kernel GFLOP/s and T_f) so the
- * perf trajectory can be tracked across commits, verifies that the
- * overlapped exchange is bit-for-bit identical to the barrier
- * schedule, and feeds the autotuned single-thread T_f — one PE's rate,
- * as Eq. (1) consumes it — into the §4 requirement sweep (exit status
- * reflects the determinism check only).
+ * perf trajectory can be tracked across commits, times the same
+ * engine with each worker pinned to one CPU (DESIGN.md §13), verifies
+ * that the overlapped exchange is bit-for-bit identical to the barrier
+ * schedule and the pinned engine to the unpinned one, and feeds the
+ * autotuned single-thread T_f — one PE's rate, as Eq. (1) consumes it —
+ * into the §4 requirement sweep (exit status reflects the determinism
+ * checks only).
  *
  * Flags: --smoke (tiny mesh, few reps — the `perf` ctest label),
  *        --pes N, --threads N, --reps N, --full (paper-scale sf10),
@@ -108,6 +110,9 @@ main(int argc, char **argv)
                                   parallel::ExchangeMode::kOverlapped);
     const parallel::ParallelSmvp barrier(problem, threads,
                                          parallel::ExchangeMode::kBarrier);
+    const parallel::ParallelSmvp pinned(
+        problem, threads, parallel::ExchangeMode::kOverlapped,
+        parallel::SmvpKernelBackend::kBcsr3, parallel::affinityCpus());
 
     // Telemetry on the overlap engine only: the timed loops below then
     // feed phase histograms and (sampled) spans into the collector.
@@ -130,8 +135,12 @@ main(int argc, char **argv)
     std::vector<double> y_barrier;
     const double barrier_seconds = timeMultiplies(
         [&] { y_barrier = barrier.multiply(x); }, reps);
+    std::vector<double> y_pinned;
+    const double pinned_seconds = timeMultiplies(
+        [&] { y_pinned = pinned.multiply(x); }, reps);
 
     const bool bitwise_equal = (y_engine == y_barrier);
+    const bool pinned_equal = (y_pinned == y_engine);
     const double flops = static_cast<double>(2 * suite.nnz());
 
     common::Table et({"configuration", "s/SMVP", "GFLOP/s",
@@ -158,10 +167,15 @@ main(int argc, char **argv)
     };
     add_engine_row("engine-overlap", engine_seconds);
     add_engine_row("engine-barrier", barrier_seconds);
+    add_engine_row("engine-overlap-pinned", pinned_seconds);
     bench::printTable(et, args);
 
     std::cout << "\noverlap bitwise-equals barrier: "
-              << (bitwise_equal ? "PASS" : "FAIL") << "\n";
+              << (bitwise_equal ? "PASS" : "FAIL") << "\n"
+              << "pinned bitwise-equals unpinned: "
+              << (pinned_equal ? "PASS" : "FAIL") << " ("
+              << pinned.pinFailures() << " of " << pinned.numThreads()
+              << " pins failed)\n";
     const double speedup = serial_seconds / engine_seconds;
     std::cout << "engine speedup vs best serial kernel ("
               << spark::kernelName(tuned.best)
@@ -201,6 +215,7 @@ main(int argc, char **argv)
          {"engine_threads", std::to_string(engine.numThreads())},
          {"autotune_winner", spark::kernelName(tuned.best)},
          {"overlap_bitwise_equal", bitwise_equal ? "true" : "false"},
+         {"pinned_bitwise_equal", pinned_equal ? "true" : "false"},
          {"speedup_vs_best_serial", common::formatFixed(speedup, 3)}});
 
     if (!opt.tracePath.empty() &&
@@ -212,5 +227,5 @@ main(int argc, char **argv)
             {{"mesh", bm.label}, {"pes", std::to_string(pes)}},
             opt.metricsPath);
 
-    return bitwise_equal ? 0 : 1;
+    return bitwise_equal && pinned_equal ? 0 : 1;
 }

@@ -41,66 +41,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
+#include "common/allocation_counter.h"
 #include "parallel/parallel_smvp.h"
 #include "quake/time_stepper.h"
 #include "spark/kernels.h"
 #include "sparse/assembly.h"
 #include "telemetry/collector.h"
 #include "telemetry/export.h"
-
-// ---------------------------------------------------------------------
-// Allocation-counting hook: every heap allocation in the process goes
-// through here.  Counting is relaxed-atomic so the hook itself never
-// perturbs the timing it guards.
-// ---------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::int64_t> g_allocations{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -127,7 +76,7 @@ timeRun(sim::ExplicitTimeStepper &stepper, int steps, bool seed_peak_sweep)
 
     double running_peak = 0.0;
     const std::int64_t alloc0 =
-        g_allocations.load(std::memory_order_relaxed);
+        common::allocationCounter().load(std::memory_order_relaxed);
     const double smvp0 = stepper.smvpSeconds();
     const double total0 = stepper.totalSeconds();
     const auto t0 = std::chrono::steady_clock::now();
@@ -151,7 +100,7 @@ timeRun(sim::ExplicitTimeStepper &stepper, int steps, bool seed_peak_sweep)
     r.smvpSeconds = stepper.smvpSeconds() - smvp0;
     r.totalSeconds = stepper.totalSeconds() - total0;
     r.allocations =
-        g_allocations.load(std::memory_order_relaxed) - alloc0;
+        common::allocationCounter().load(std::memory_order_relaxed) - alloc0;
     r.peak = running_peak;
     r.u = stepper.displacement();
     r.up = stepper.previousDisplacement();

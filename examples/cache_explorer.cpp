@@ -31,7 +31,6 @@
 #include "mesh/generator.h"
 #include "mesh/soil_model.h"
 #include "parallel/characterize.h"
-#include "parallel/topology.h"
 #include "partition/geometric_bisection.h"
 #include "sparse/assembly.h"
 

@@ -9,7 +9,6 @@
  *
  * Usage: capacity_planner [--mflops F] [--latency-us L] [--burst-mbs B]
  *                         [--mesh sf10|sf5|sf2|sf1] [--block-words W]
- *                         [--topology SPEC] [--pin]
  *                         [--faults [--drop-rate R] [--seed S]]
  *                         [--deadline-ms D [--retry-budget N]]
  *
@@ -21,18 +20,11 @@
  * against the Eq. (1) model prediction for the worst instance — the
  * same model-informed timeout the resilience supervisor derives — and
  * says whether the budgeted retries can absorb a stall.
- *
- * With --topology, the planner prints the shard x thread execution
- * topology the SMVP engine would run under (DESIGN.md §13) — "auto"
- * shows what NUMA detection sees on this host — so a placement can be
- * sanity-checked before committing to a long run.  --pin marks the
- * printed topology as pinned.
  */
 
 #include <iostream>
 
 #include "common/args.h"
-#include "common/engine_cli.h"
 #include "common/error.h"
 #include "common/table.h"
 #include "core/requirements.h"
@@ -42,8 +34,6 @@
 #include "parallel/machine.h"
 #include "parallel/phase_simulator.h"
 #include "parallel/reliable_exchange.h"
-#include "parallel/topology.h"
-#include "parallel/worker_pool.h"
 #include "partition/geometric_bisection.h"
 #include "resilience/supervisor.h"
 
@@ -56,16 +46,11 @@ run(int argc, char **argv)
     using namespace quake;
     namespace ref = core::reference;
     const common::Args args(argc, argv);
-    const common::EngineCliOptions cli = common::parseEngineCli(args);
-    // The planner runs no engine, so it has no spans or metrics to
-    // write: refuse these shared engine flags, not ignore them.
-    for (const char *flag : {"trace", "metrics", "sample-every"})
-        QUAKE_EXPECT(!args.has(flag),
-                     "--" << flag << " is not supported by capacity_planner");
 
     // customMachine validates the hardware description (positive rate,
-    // non-negative latency, positive bandwidth); the fault spec, when
-    // requested, is validated before any table is printed.
+    // non-negative latency, positive bandwidth); the SLO flags and the
+    // fault spec, when requested, are validated before any table is
+    // printed.
     const parallel::MachineModel machine = parallel::customMachine(
         "planned", args.getDouble("mflops", 70.0),
         args.getDouble("latency-us", 22.0) * 1e-6,
@@ -75,22 +60,29 @@ run(int argc, char **argv)
     const long block_words = args.getInt("block-words", 0); // 0 = maximal
     QUAKE_EXPECT(block_words >= 0,
                  "--block-words must be >= 0, got " << block_words);
+    const bool has_deadline = args.has("deadline-ms");
+    const double deadline_ms = args.getDouble("deadline-ms", 0.0);
+    if (has_deadline)
+        QUAKE_EXPECT(deadline_ms > 0,
+                     "--deadline-ms must be positive, got " << deadline_ms);
+    const long retry_budget = args.getInt("retry-budget", 3);
+    QUAKE_EXPECT(retry_budget >= 1,
+                 "--retry-budget must be >= 1, got " << retry_budget);
+    // --seed and --drop-rate are read (and so accepted) without
+    // --faults, but only checked when the fault model uses them.
+    const bool faults = args.has("faults");
+    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 0x5eed));
+    const double drop_rate = args.getDouble("drop-rate", 1e-3);
     args.rejectUnread();
     parallel::FaultSpec fault_spec;
-    if (cli.faults) {
-        fault_spec.seed = cli.faultSeed;
-        fault_spec.dropProbability = cli.dropRate;
+    if (faults) {
+        QUAKE_EXPECT(drop_rate >= 0.0 && drop_rate <= 1.0,
+                     "--drop-rate must be in [0, 1], got " << drop_rate);
+        fault_spec.seed = seed;
+        fault_spec.dropProbability = drop_rate;
         fault_spec.ackDropProbability = fault_spec.dropProbability;
         fault_spec.validate();
     }
-
-    // Deadline/SLO arguments were validated by parseEngineCli before
-    // any table is printed; --topology parses (or FatalErrors) here,
-    // still ahead of output.
-    const double deadline_ms = cli.hasDeadlineMs ? cli.deadlineMs : 0.0;
-    const long retry_budget = cli.retryBudget;
-    const parallel::Topology topo = parallel::Topology::parse(
-        cli.topologySpec.empty() ? "flat" : cli.topologySpec, cli.pin);
 
     std::cout << "Machine: " << common::formatFixed(machine.mflops(), 0)
               << " MFLOPS sustained, T_l = "
@@ -100,27 +92,6 @@ run(int argc, char **argv)
                                         "-word blocks)"
                                   : " (maximally aggregated blocks)")
               << "\n\n";
-
-    if (!cli.topologySpec.empty() || cli.pin) {
-        // What the engine would run under (DESIGN.md §13): shard count,
-        // threads per shard (0 = even split of the visible CPUs), and
-        // any detected per-shard CPU placement.
-        std::cout << "Execution topology: " << topo.numShards
-                  << " shard(s) x "
-                  << (topo.threadsPerShard > 0
-                          ? std::to_string(topo.threadsPerShard)
-                          : std::string("auto"))
-                  << " thread(s)" << (topo.pin ? ", pinned" : "")
-                  << " (" << parallel::WorkerPool::hardwareThreads()
-                  << " CPUs visible to this process)\n";
-        for (std::size_t s = 0; s < topo.shardCpus.size(); ++s) {
-            std::cout << "  shard " << s << " CPUs:";
-            for (int c : topo.shardCpus[s])
-                std::cout << " " << c;
-            std::cout << "\n";
-        }
-        std::cout << "\n";
-    }
 
     common::Table t({"instance", "F/C_max", "T_comp", "T_comm",
                      "efficiency", "latency share", "advice"});
@@ -168,7 +139,7 @@ run(int argc, char **argv)
               << "  half-bw latency     : "
               << common::formatTime(h.halfPoint.latency) << "\n";
 
-    if (cli.hasDeadlineMs) {
+    if (has_deadline) {
         // The stall deadline the resilience supervisor would derive
         // from Eq. (1) for this machine's worst instance, vs the SLO.
         const double tc =
@@ -196,7 +167,7 @@ run(int argc, char **argv)
                   << "\n";
     }
 
-    if (cli.faults) {
+    if (faults) {
         // Execute a synthetic irregular exchange (Kuhn lattice, 64
         // subdomains) through the ack/retransmit protocol on the
         // planned machine, then shrink the hardware budget by the

@@ -7,20 +7,16 @@
  * Usage: earthquake_sim [--mesh sf20|sf10|sf5] [--pes N]
  *                       [--duration seconds] [--max-steps N]
  *                       [--freq hz] [--scale h-scale]
- *                       [--damping a0] [--seismogram path]
- *                       [--topology SPEC] [--pin]
+ *                       [--damping a0] [--seismogram path] [--pin]
  *                       [--trace path] [--metrics path]
  *                       [--sample-every N]
  *                       [--faults [--drop-rate R] [--seed S]]
  *                       [--checkpoint path [--checkpoint-every N]]
  *                       [--resume] [--deadline ms] [--retries N]
  *
- * --topology splits the distributed engine's PEs into NUMA-style
- * shards (blocks of one worker pool, DESIGN.md §13): "flat" (the
- * default), "auto" (one shard per NUMA domain), or "SxT" (e.g. "2x4";
- * "2x0" divides the threads evenly).  --pin pins each shard's workers
- * to its CPUs (advisory).  Both are execution knobs: the trajectory is
- * bitwise identical for every topology.
+ * --pin pins worker w of the distributed engine to CPU w of the
+ * process affinity mask (advisory, DESIGN.md §13).  It is an execution
+ * knob: the trajectory is bitwise identical with and without it.
  *
  * With --checkpoint, the run snapshots its full state to `path`
  * atomically every N steps (default 100); kill it at any point and
@@ -50,10 +46,8 @@
 
 #include <algorithm>
 #include <iostream>
-#include <utility>
 
 #include "common/args.h"
-#include "common/engine_cli.h"
 #include "common/error.h"
 #include "common/table.h"
 #include "parallel/characterize.h"
@@ -74,17 +68,6 @@ run(int argc, char **argv)
 {
     using namespace quake;
     const common::Args args(argc, argv);
-    const common::EngineCliOptions cli = common::parseEngineCli(args);
-    // The supervised run spells its stall deadline and its attempt
-    // budget --deadline and --retries: refuse the service's spellings
-    // of the shared engine flags, not ignore them.
-    for (const auto &[flag, ours] :
-         {std::pair{"deadline-ms", "deadline"},
-          std::pair{"retry-budget", "retries"}})
-        QUAKE_EXPECT(!args.has(flag), "--" << flag
-                                           << " is not supported by "
-                                              "earthquake_sim; use --"
-                                           << ours);
     const mesh::SfClass cls =
         mesh::sfClassFromName(args.get("mesh", "sf20"));
 
@@ -96,12 +79,11 @@ run(int argc, char **argv)
     config.wavelet.delaySeconds = 2.0 / config.wavelet.peakFrequencyHz;
     config.sampleInterval = 50;
     config.dampingA0 = args.getDouble("damping", 0.0);
-    config.pinSmvpThreads = cli.pin;
-    config.topologySpec = cli.topologySpec;
+    config.pinSmvpThreads = args.has("pin");
 
-    // Fail on bad flags before any mesh is generated: the shared
-    // engine flags were validated by parseEngineCli above; the config
-    // and the fault spec (when requested) are validated here.
+    // Fail on bad flags before any mesh is generated: the config, the
+    // run options, the telemetry flags, and the fault spec (when
+    // requested) are validated here.
     config.validate();
     resilience::ResilientRunOptions resilient;
     resilient.checkpointPath = args.get("checkpoint");
@@ -123,11 +105,23 @@ run(int argc, char **argv)
                      << resilient.supervisor.stallTimeout.count());
     const double scale = args.getDouble("scale", 1.0);
     const std::string seismogram_path = args.get("seismogram");
+    const std::string trace_path = args.get("trace");
+    const std::string metrics_path = args.get("metrics");
+    const std::int64_t sample_every = args.getInt("sample-every", 16);
+    QUAKE_EXPECT(sample_every >= 1,
+                 "--sample-every must be >= 1, got " << sample_every);
+    // --seed and --drop-rate are read (and so accepted) without
+    // --faults, but only checked when the fault projection uses them.
+    const bool faults = args.has("faults");
+    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 0x5eed));
+    const double drop_rate = args.getDouble("drop-rate", 1e-3);
     args.rejectUnread();
     parallel::FaultSpec fault_spec;
-    if (cli.faults) {
-        fault_spec.seed = cli.faultSeed;
-        fault_spec.dropProbability = cli.dropRate;
+    if (faults) {
+        QUAKE_EXPECT(drop_rate >= 0.0 && drop_rate <= 1.0,
+                     "--drop-rate must be in [0, 1], got " << drop_rate);
+        fault_spec.seed = seed;
+        fault_spec.dropProbability = drop_rate;
         fault_spec.ackDropProbability = fault_spec.dropProbability;
         fault_spec.validate();
     }
@@ -136,11 +130,8 @@ run(int argc, char **argv)
               << config.numPes << " PE(s), source at ("
               << config.hypocenter.x << ", " << config.hypocenter.y
               << ", " << config.hypocenter.z << ") km depth...\n";
-    if (!config.topologySpec.empty() || config.pinSmvpThreads)
-        std::cout << "  engine topology: "
-                  << (config.topologySpec.empty() ? "flat"
-                                                  : config.topologySpec)
-                  << (config.pinSmvpThreads ? ", pinned" : "") << "\n";
+    if (config.pinSmvpThreads)
+        std::cout << "  engine workers pinned one per CPU\n";
 
     // Generate the mesh up front so receiver stations can be placed.
     const mesh::LayeredBasinModel model;
@@ -153,11 +144,9 @@ run(int argc, char **argv)
 
     // Telemetry rides along only when an output was requested; a
     // disabled collector records nothing and costs one branch per hook.
-    const std::string &trace_path = cli.tracePath;
-    const std::string &metrics_path = cli.metricsPath;
     telemetry::CollectorConfig tele_config;
     tele_config.enabled = !trace_path.empty() || !metrics_path.empty();
-    tele_config.sampleEvery = cli.sampleEvery;
+    tele_config.sampleEvery = sample_every;
     telemetry::Collector collector(tele_config);
     if (collector.enabled())
         config.collector = &collector;
@@ -249,7 +238,7 @@ run(int argc, char **argv)
             telemetry::validateModel(collector, inputs), std::cout);
     }
 
-    if (cli.faults) {
+    if (faults) {
         // Replay one step's boundary exchange through the reliable
         // protocol: what would this run cost on a lossy network?
         const int pes = std::max(config.numPes, 2);

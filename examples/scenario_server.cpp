@@ -11,7 +11,6 @@
  *                        [--threads N] [--span-threshold N]
  *                        [--cache-mb M] [--queue N] [--results DIR]
  *                        [--mflops F [--tc-ns W]] [--deadline-ms D]
- *                        [--topology SPEC]
  *                        [--faults [--drop-rate R]]
  *                        [--metrics path] [--check]
  *
@@ -20,18 +19,17 @@
  * labels), so after the first request the cache serves every prefix
  * stage and the service spends its time stepping, not assembling.
  * --cache-mb 0 turns the cache off (every request rebuilds — the cold
- * regime the service benchmark compares against).  --topology becomes
- * each request's topology hint; --deadline-ms arms both model-based
- * admission (with --mflops) and the runtime SLO observer.  --check
- * reruns the first scenario standalone and fails (exit 1) unless the
- * service result is bitwise identical — the serving-mode contract.
+ * regime the service benchmark compares against).  --deadline-ms arms
+ * both model-based admission (with --mflops) and the runtime SLO
+ * observer.  --check reruns the first scenario standalone and fails
+ * (exit 1) unless the service result is bitwise identical — the
+ * serving-mode contract.
  */
 
 #include <iostream>
 #include <vector>
 
 #include "common/args.h"
-#include "common/engine_cli.h"
 #include "common/error.h"
 #include "common/table.h"
 #include "mesh/generator.h"
@@ -45,15 +43,6 @@ run(int argc, char **argv)
 {
     using namespace quake;
     const common::Args args(argc, argv);
-    const common::EngineCliOptions cli = common::parseEngineCli(args);
-    // The service records counters, not spans, has no pinning or retry
-    // budget, and only models faults (no seeded injection): refuse
-    // these shared engine flags, not ignore them.
-    for (const char *flag :
-         {"trace", "sample-every", "pin", "retry-budget", "seed"})
-        QUAKE_EXPECT(!args.has(flag),
-                     "--" << flag << " is not supported by scenario_server");
-
     const long scenarios = args.getInt("scenarios", 8);
     const long tenants = args.getInt("tenants", 2);
     QUAKE_EXPECT(scenarios >= 1,
@@ -87,13 +76,23 @@ run(int argc, char **argv)
     base.numPes = static_cast<int>(args.getInt("pes", 1));
     base.durationSeconds = args.getDouble("duration", 10.0);
     base.maxSteps = args.getInt("max-steps", 40);
+    // Faults are modeled for admission, never injected, so the service
+    // takes no --seed; --drop-rate without --faults is read, not checked.
+    base.faults = args.has("faults");
+    base.faultDropRate = args.getDouble("drop-rate", 1e-3);
+    if (base.faults)
+        QUAKE_EXPECT(base.faultDropRate >= 0.0 && base.faultDropRate <= 1.0,
+                     "--drop-rate must be in [0, 1], got "
+                         << base.faultDropRate);
+    if (args.has("deadline-ms")) {
+        base.deadlineMs = args.getDouble("deadline-ms", 0.0);
+        QUAKE_EXPECT(base.deadlineMs > 0,
+                     "--deadline-ms must be positive, got "
+                         << base.deadlineMs);
+    }
+    const std::string metrics_path = args.get("metrics");
     const bool check = args.has("check");
     args.rejectUnread();
-    base.topologyHint = cli.topologySpec;
-    base.faults = cli.faults;
-    base.faultDropRate = cli.dropRate;
-    if (cli.hasDeadlineMs)
-        base.deadlineMs = cli.deadlineMs;
 
     service::ScenarioService svc(options);
     std::cout << "Scenario service: " << options.executors
@@ -171,8 +170,8 @@ run(int argc, char **argv)
                   common::formatFixed(ts.stepSeconds, 2)});
     t.print(std::cout);
 
-    if (!cli.metricsPath.empty()) {
-        svc.writeTenantMetricsJson("scenario_server", cli.metricsPath);
+    if (!metrics_path.empty()) {
+        svc.writeTenantMetricsJson("scenario_server", metrics_path);
     }
 
     if (check) {

@@ -22,21 +22,6 @@ constexpr std::size_t kPartialsStride = 4;
  */
 constexpr std::int64_t kRowBatch = 64;
 
-/** Split `cpus` into `parts` contiguous chunks (some may be empty). */
-std::vector<std::vector<int>>
-splitCpus(const std::vector<int> &cpus, int parts)
-{
-    std::vector<std::vector<int>> out(static_cast<std::size_t>(parts));
-    const int n = static_cast<int>(cpus.size());
-    for (int s = 0; s < parts; ++s) {
-        const int lo = s * n / parts;
-        const int hi = (s + 1) * n / parts;
-        out[static_cast<std::size_t>(s)].assign(cpus.begin() + lo,
-                                                cpus.begin() + hi);
-    }
-    return out;
-}
-
 /**
  * Hand PE `pe`'s owned rows among rows[0, n) (ascending local ids) to
  * the row finalizer as maximal runs whose local and global ids are
@@ -69,65 +54,28 @@ finalizeRows(const Subdomain &sub, int pe, const std::int64_t *rows,
 
 ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
                            int num_threads, ExchangeMode mode,
-                           SmvpKernelBackend backend)
-    : ParallelSmvp(problem, Topology::flat(num_threads), mode, backend)
-{
-}
-
-ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
-                           const Topology &topo, ExchangeMode mode,
-                           SmvpKernelBackend backend)
+                           SmvpKernelBackend backend,
+                           std::vector<int> pin_cpus)
     : problem_(problem), mode_(mode), backend_(backend)
 {
     QUAKE_EXPECT(!problem.subdomains.empty(),
                  "problem has no subdomains");
-    topo.validate();
+    QUAKE_EXPECT(num_threads >= 0,
+                 "thread count must be nonnegative, got " << num_threads);
     for (const Subdomain &sub : problem.subdomains)
         QUAKE_EXPECT(sub.stiffness.numBlockRows() > 0,
                      "subdomain " << sub.part
                                   << " has no assembled stiffness");
 
-    // Normalize the topology against the problem: shards clamp to the
-    // PE count (the paper's unit of decomposition), PEs map to
-    // contiguous ascending shard blocks, and the per-shard thread
-    // count caps at the largest block (extra threads would idle).
+    // PEs are the paper's unit of decomposition: workers beyond the PE
+    // count would idle.  Worker w serves PEs w, w + T, ...
     const int p = problem.numPes();
-    num_shards_ = std::clamp(topo.numShards, 1, p);
-    const int max_block = (p + num_shards_ - 1) / num_shards_;
-    if (topo.threadsPerShard > 0) {
-        threads_per_shard_ = std::min(topo.threadsPerShard, max_block);
-    } else {
-        const int budget = topo.threadBudget > 0
-                               ? topo.threadBudget
-                               : WorkerPool::hardwareThreads();
-        threads_per_shard_ =
-            std::min(std::max(1, budget / num_shards_), max_block);
-    }
-
-    shard_begin_.resize(static_cast<std::size_t>(num_shards_) + 1);
-    for (int s = 0; s <= num_shards_; ++s)
-        shard_begin_[static_cast<std::size_t>(s)] = s * p / num_shards_;
-    shard_of_.resize(static_cast<std::size_t>(p));
-    for (int s = 0; s < num_shards_; ++s)
-        for (int i = shard_begin_[s]; i < shard_begin_[s + 1]; ++i)
-            shard_of_[static_cast<std::size_t>(i)] = s;
-
-    // One pool of S x T workers; worker w serves shard w / T.  Under
-    // pinning it pins itself to its shard's CPU list: the topology's
-    // explicit per-shard lists when given, else an even contiguous
-    // split of the affinity mask.  Advisory throughout — empty sets
-    // and failed pins fall back to unpinned workers.
+    num_threads_ = std::min(
+        num_threads > 0 ? num_threads : WorkerPool::hardwareThreads(), p);
+    const bool pinned = !pin_cpus.empty();
     WorkerPoolOptions opts;
-    if (topo.pin) {
-        const std::vector<std::vector<int>> shard_cpus =
-            topo.shardCpus.empty()
-                ? splitCpus(affinityCpus(), num_shards_)
-                : topo.shardCpus;
-        for (int w = 0; w < numThreads(); ++w)
-            opts.workerCpus.push_back(shard_cpus[static_cast<std::size_t>(
-                w / threads_per_shard_)]);
-    }
-    pool_ = std::make_unique<WorkerPool>(numThreads(), std::move(opts));
+    opts.workerCpus = std::move(pin_cpus);
+    pool_ = std::make_unique<WorkerPool>(num_threads_, std::move(opts));
 
     // Precompute exchange bookkeeping.
     exchange_base_.resize(static_cast<std::size_t>(p) + 1, 0);
@@ -140,8 +88,6 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
     mirror_index_.resize(static_cast<std::size_t>(p));
     exchange_local_nodes_.resize(
         static_cast<std::size_t>(exchange_base_[p]));
-    pe_remote_bytes_.assign(static_cast<std::size_t>(p), 0);
-    pe_local_bytes_.assign(static_cast<std::size_t>(p), 0);
     for (int i = 0; i < p; ++i) {
         const PeSchedule &pe = problem.schedule.pe(i);
         mirror_index_[i].resize(pe.exchanges.size());
@@ -168,45 +114,14 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
             const Subdomain &sub = problem.subdomains[i];
             for (mesh::NodeId g : ex.nodes)
                 locals.push_back(sub.localNodeOf(g));
-
-            // Classify this PE's received exchange traffic by the
-            // shard map: crossing a shard boundary means crossing a
-            // memory domain when shards are pinned to NUMA nodes.
-            const std::int64_t bytes = static_cast<std::int64_t>(
+            exchange_bytes_ += static_cast<std::int64_t>(
                 3 * ex.nodes.size() * sizeof(double));
-            if (shard_of_[static_cast<std::size_t>(ex.peer)] ==
-                shard_of_[static_cast<std::size_t>(i)])
-                pe_local_bytes_[static_cast<std::size_t>(i)] += bytes;
-            else
-                pe_remote_bytes_[static_cast<std::size_t>(i)] += bytes;
         }
-        remote_bytes_ += pe_remote_bytes_[static_cast<std::size_t>(i)];
-        local_bytes_ += pe_local_bytes_[static_cast<std::size_t>(i)];
-    }
-
-    // Shard load imbalance over local rows (the kernel work measure).
-    {
-        std::vector<std::int64_t> rows(
-            static_cast<std::size_t>(num_shards_), 0);
-        std::int64_t total = 0;
-        for (int i = 0; i < p; ++i) {
-            const std::int64_t r =
-                problem.subdomains[static_cast<std::size_t>(i)]
-                    .numLocalNodes();
-            rows[static_cast<std::size_t>(shard_of_[i])] += r;
-            total += r;
-        }
-        const double mean =
-            static_cast<double>(total) / num_shards_;
-        const std::int64_t maxr =
-            *std::max_element(rows.begin(), rows.end());
-        shard_imbalance_ =
-            mean > 0 ? static_cast<double>(maxr) / mean - 1.0 : 0.0;
     }
 
     // Persistent slabs: outer containers sized here, inner storage
     // filled by initPeSlabs on the worker that serves each PE, so
-    // pages are first-touched in the domain that will stream them
+    // pages are first-touched by the thread that will stream them
     // every step.
     x_local_.resize(static_cast<std::size_t>(p));
     y_local_.resize(static_cast<std::size_t>(p));
@@ -214,11 +129,11 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
     if (backend_ == SmvpKernelBackend::kSlicedEll3) {
         boundary_ell_.resize(static_cast<std::size_t>(p));
         interior_ell_.resize(static_cast<std::size_t>(p));
-    } else if (num_shards_ > 1) {
+    } else if (pinned) {
         local_stiffness_.resize(static_cast<std::size_t>(p));
     }
-    pool_->run([this](int w) {
-        for (int i = firstPe(w); i < endPe(w); i += threads_per_shard_)
+    pool_->run([this, p](int w) {
+        for (int i = w; i < p; i += num_threads_)
             initPeSlabs(i);
     });
 
@@ -264,8 +179,8 @@ ParallelSmvp::initPeSlabs(int i)
                 sub.stiffness, sub.interiorRows.data(),
                 static_cast<std::int64_t>(sub.interiorRows.size()));
     } else if (!local_stiffness_.empty()) {
-        // Hierarchical BCSR3: copy the subdomain stiffness so the
-        // dominant kernel stream reads pages this shard first-touched.
+        // Pinned BCSR3: copy the subdomain stiffness so the dominant
+        // kernel stream reads pages this worker first-touched.
         // Identical values — results are bitwise unchanged.
         local_stiffness_[static_cast<std::size_t>(i)] = sub.stiffness;
     }
@@ -279,14 +194,9 @@ ParallelSmvp::setCollector(telemetry::Collector *collector)
     pool_->setCollector(collector);
     tele_ = collector;
     if (collector != nullptr && collector->enabled()) {
-        // Construction-time facts, recorded once on attach.
+        // A construction-time fact, recorded once on attach.
         collector->add(0, telemetry::Counter::kPinFailures,
                        static_cast<std::uint64_t>(pinFailures()));
-        collector->add(
-            0, telemetry::Counter::kShardImbalanceMilli,
-            static_cast<std::uint64_t>(
-                shard_imbalance_ > 0 ? shard_imbalance_ * 1000.0 + 0.5
-                                     : 0.0));
     }
 }
 
@@ -317,7 +227,7 @@ template <class Finalize>
 void
 ParallelSmvp::runLocalPhase(int w, const Finalize &fin) const
 {
-    const int end = endPe(w);
+    const int p = problem_.numPes();
     const bool publish_early = mode_ == ExchangeMode::kOverlapped;
     telemetry::Collector *tele =
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
@@ -329,7 +239,7 @@ ParallelSmvp::runLocalPhase(int w, const Finalize &fin) const
     // When publish_early is set, peers may start consuming a buffer the
     // moment its release-store lands — while this thread is still in
     // the interior sweep below.
-    for (int i = firstPe(w); i < end; i += threads_per_shard_) {
+    for (int i = w; i < p; i += num_threads_) {
         const Subdomain &sub = problem_.subdomains[i];
         const std::int64_t nl = sub.numLocalNodes();
         const std::uint64_t b0 = sampled ? tele->now() : 0;
@@ -377,7 +287,7 @@ ParallelSmvp::runLocalPhase(int w, const Finalize &fin) const
     // so its row is final here and the finalizer's writes are disjoint
     // across PEs.  A sliced-ELL batch is one slice, whose lanes are the
     // next interiorRows in list order (pad lanes trail the last slice).
-    for (int i = firstPe(w); i < end; i += threads_per_shard_) {
+    for (int i = w; i < p; i += num_threads_) {
         const Subdomain &sub = problem_.subdomains[i];
         const double *xl = x_local_[i].data();
         double *yl = y_local_[i].data();
@@ -425,7 +335,7 @@ template <class Finalize>
 void
 ParallelSmvp::runExchangePhase(int w, const Finalize &fin) const
 {
-    const int end = endPe(w);
+    const int p = problem_.numPes();
     const bool wait_for_publish = mode_ == ExchangeMode::kOverlapped;
     telemetry::Collector *tele =
         tele_ != nullptr && tele_->enabled() ? tele_ : nullptr;
@@ -433,7 +343,7 @@ ParallelSmvp::runExchangePhase(int w, const Finalize &fin) const
     const int slot = 1 + w;
     const std::uint64_t t0 = tele != nullptr ? tele->now() : 0;
 
-    for (int i = firstPe(w); i < end; i += threads_per_shard_) {
+    for (int i = w; i < p; i += num_threads_) {
         const Subdomain &sub = problem_.subdomains[i];
         std::vector<double> &yl = y_local_[i];
         const PeSchedule &pe = problem_.schedule.pe(i);
@@ -462,12 +372,6 @@ ParallelSmvp::runExchangePhase(int w, const Finalize &fin) const
         finalizeRows(sub, i, sub.boundaryRows.data(),
                      static_cast<std::int64_t>(sub.boundaryRows.size()),
                      fin);
-        if (tele != nullptr) {
-            tele->add(slot, telemetry::Counter::kShardRemoteBytes,
-                      static_cast<std::uint64_t>(pe_remote_bytes_[i]));
-            tele->add(slot, telemetry::Counter::kShardLocalBytes,
-                      static_cast<std::uint64_t>(pe_local_bytes_[i]));
-        }
         if (sampled)
             tele->recordSpan(slot, telemetry::Span::kExchange, i, e0,
                              tele->now());
@@ -529,13 +433,11 @@ ParallelSmvp::dispatch() const
     if (mode_ == ExchangeMode::kOverlapped) {
         // One fork/join: each worker publishes its boundary buffers,
         // overlaps its interior rows with the peers' publishes, then
-        // spin-waits (with yield) only for buffers not yet ready.  All
-        // shards are live inside the one dispatch, so publishes cross
-        // shard boundaries through the same protocol.
+        // spin-waits (with yield) only for buffers not yet ready.
         fork_join(kLocalPhase | kExchangePhase);
     } else {
         // Two joins of the one pool: the join between them is the BSP
-        // barrier, global across shards.
+        // barrier.
         fork_join(kLocalPhase);
         fork_join(kExchangePhase);
     }
@@ -600,8 +502,8 @@ ParallelSmvp::stepFused(const sparse::StepUpdate &su) const
     su_arg_ = nullptr;
 
     // Ascending-PE combine: the per-PE accumulation order is fixed by
-    // the partition, so the reduced values are independent of shard
-    // count, thread count, and exchange mode.
+    // the partition, so the reduced values are independent of thread
+    // count, pinning, and exchange mode.
     sparse::StepPartials out;
     for (int i = 0; i < p; ++i)
         out.combine(

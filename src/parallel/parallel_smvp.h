@@ -18,19 +18,13 @@
  *    flight — the paper's footnote-1 overlap, realized in execution
  *    rather than only in the analytic model.
  *
- * The engine is two-level (DESIGN.md §13): a Topology maps the PEs
- * onto S contiguous shards — one per NUMA domain when detected — of T
- * threads each, run as blocks of one pool of S x T workers.  Worker w
- * serves shard w / T as thread w % T; under pinning it pins itself to
- * that shard's CPUs and first-touches its PEs' slabs, scratch, and
- * exchange buffers so pages land in the local memory domain.  The
- * boundary exchange runs *between* shards (each PE publishes its
- * boundary buffers, then sums peers' in ascending peer order) while
- * the kernels thread-split *within* a shard.  A flat engine is the
- * single-shard case of the same code path.
+ * Worker w of T serves PEs w, w + T, w + 2T, ... (DESIGN.md §13).
+ * Under pinning each worker pins itself to one CPU and first-touches
+ * its PEs' slabs, scratch, exchange buffers, and a copy of their
+ * stiffness, so the pages it streams every step stay where it runs.
  *
- * The result is bitwise deterministic and independent of shard count,
- * thread count, and overlap mode: every row is computed by the same
+ * The result is bitwise deterministic and independent of thread count,
+ * pinning, and overlap mode: every row is computed by the same
  * unrolled kernel, and each PE sums peer contributions in ascending
  * peer order (verify property `engine_invariance`).
  */
@@ -44,7 +38,6 @@
 #include <vector>
 
 #include "parallel/distributor.h"
-#include "parallel/topology.h"
 #include "parallel/worker_pool.h"
 #include "sparse/sliced_ell3.h"
 
@@ -77,40 +70,33 @@ class ParallelSmvp
 {
   public:
     /**
-     * Flat-engine ctor: a single shard of `num_threads` workers
-     * (0 = hardwareThreads(), capped at the PE count), delegating to
-     * the Topology ctor with Topology::flat(num_threads).
-     *
      * @param problem     Distributed problem; must have assembled
      *                    stiffness matrices.  Must outlive the engine.
-     * @param num_threads Worker threads; 0 means hardware concurrency.
+     * @param num_threads Worker threads; 0 means hardwareThreads().
+     *                    Capped at the PE count (extra workers would
+     *                    idle).
      * @param mode        Exchange scheduling (result is identical).
      * @param backend     Local-row kernel.  kSlicedEll3 converts each
      *                    PE's boundary and interior rows into
      *                    cache-line-padded sliced-ELL slabs at
      *                    construction; the steady-state step performs
      *                    no further allocation.
-     */
-    explicit ParallelSmvp(
-        const DistributedProblem &problem, int num_threads = 0,
-        ExchangeMode mode = ExchangeMode::kOverlapped,
-        SmvpKernelBackend backend = SmvpKernelBackend::kBcsr3);
-
-    /**
-     * Two-level ctor (DESIGN.md §13).  The topology is normalized
-     * against the problem: shards are clamped to the PE count, PEs map
-     * to contiguous ascending shard blocks, and threads-per-shard is
-     * capped at the largest shard's PE count (0 = divide the topology
-     * thread budget evenly).  With topo.pin set, shard workers pin to
-     * topo.shardCpus (or an even split of the affinity mask when no
-     * placement is given); pins are advisory — see pinFailures().
+     * @param pin_cpus    Empty = unpinned.  Otherwise worker w pins
+     *                    itself to CPU pin_cpus[w % pin_cpus.size()]
+     *                    before its first task (advisory — see
+     *                    pinFailures()), and the BCSR3 backend gives
+     *                    each PE a copy of its subdomain stiffness,
+     *                    first-touched by the worker that serves it.
+     *
      * Each worker first-touch-initializes the kernel slabs, scratch
      * vectors, and exchange buffers of the PEs it serves during
      * construction.
      */
-    ParallelSmvp(const DistributedProblem &problem, const Topology &topo,
-                 ExchangeMode mode = ExchangeMode::kOverlapped,
-                 SmvpKernelBackend backend = SmvpKernelBackend::kBcsr3);
+    explicit ParallelSmvp(
+        const DistributedProblem &problem, int num_threads = 0,
+        ExchangeMode mode = ExchangeMode::kOverlapped,
+        SmvpKernelBackend backend = SmvpKernelBackend::kBcsr3,
+        std::vector<int> pin_cpus = {});
 
     /**
      * Compute y = K x on global vectors of length 3 * numGlobalNodes.
@@ -146,24 +132,17 @@ class ParallelSmvp
      * pass.  Peak/energy reductions accumulate into per-PE partials
      * (fixed per-PE row order: interior ascending, then owned boundary
      * ascending) combined in ascending PE order, so the returned
-     * values are bitwise deterministic across shard counts, thread
-     * counts, and exchange modes.  The updated u_{n+1} written to
-     * su.up is bitwise identical to multiply() + the unfused reference
-     * triad.
+     * values are bitwise deterministic across thread counts, pinning,
+     * and exchange modes.  The updated u_{n+1} written to su.up is
+     * bitwise identical to multiply() + the unfused reference triad.
      *
      * Performs no heap allocation: scratch is persistent and the pool
      * dispatches capture only `this`.
      */
     sparse::StepPartials stepFused(const sparse::StepUpdate &su) const;
 
-    /** Shards in the normalized topology (1 = flat engine). */
-    int numShards() const { return num_shards_; }
-
-    /** Worker threads inside each shard. */
-    int threadsPerShard() const { return threads_per_shard_; }
-
-    /** Total kernel worker threads: numShards * threadsPerShard. */
-    int numThreads() const { return num_shards_ * threads_per_shard_; }
+    /** Kernel worker threads. */
+    int numThreads() const { return num_threads_; }
 
     /** Exchange scheduling mode. */
     ExchangeMode mode() const { return mode_; }
@@ -173,43 +152,34 @@ class ParallelSmvp
 
     /**
      * Advisory pin attempts that failed, at most one per worker (0
-     * when the topology did not request pinning or every pin stuck).
+     * when the engine is unpinned or every pin stuck).
      * Complete once construction returns: the first-touch setup
      * dispatch joins all workers past their self-pin.
      */
     std::int64_t pinFailures() const { return pool_->pinFailures(); }
 
     /**
-     * Exchange traffic classified by the shard map: bytes whose sender
-     * and receiver PEs live in different shards (crossing a memory
-     * domain under pinning) vs the same shard, per multiply.
+     * Exchange bytes received per multiply, summed over every PE:
+     * localExchangeBytes() holds them all and remoteExchangeBytes() is
+     * 0, since every PE's buffers live in the one process.  Callers
+     * read their sum.
      */
-    std::int64_t remoteExchangeBytes() const { return remote_bytes_; }
-    std::int64_t localExchangeBytes() const { return local_bytes_; }
+    std::int64_t remoteExchangeBytes() const { return 0; }
+    std::int64_t localExchangeBytes() const { return exchange_bytes_; }
 
     /**
-     * Shard load imbalance: (max shard rows / mean shard rows - 1),
-     * where rows are local nodes summed over the shard's PEs.  0 for
-     * a perfectly even split and for the flat engine.
-     */
-    double shardImbalance() const { return shard_imbalance_; }
-
-    /**
-     * The engine's worker pool (numThreads() workers), for callers
-     * that want to run their own fork/join work (e.g. initial-condition
-     * setup, the stepper's chunked vector ops) on the same threads.
-     * Must not be used while a multiply is in flight.
+     * The engine's worker pool (numThreads() workers): its size and
+     * pin counts.  Must not be run while a multiply is in flight.
      */
     WorkerPool &workerPool() const { return *pool_; }
 
     /**
      * Attach a telemetry collector (DESIGN.md §9).  Each worker then
      * times its local and exchange phases into per-thread histograms on
-     * every multiply, counts actual publish waits (acquire-spin nanos)
-     * and shard-local vs shard-remote exchange bytes, and records
-     * per-PE boundary/exchange/spin spans on steps where
-     * collector->sampledStep() holds.  Pin failures and the shard
-     * imbalance are recorded once, on attach.  Slot layout: 0 = the
+     * every multiply, counts actual publish waits (acquire-spin nanos),
+     * and records per-PE boundary/exchange/spin spans on steps where
+     * collector->sampledStep() holds.  Pin failures are recorded once,
+     * on attach.  Slot layout: 0 = the
      * engine and pool control, 1 + w = worker w — a single writer per
      * slot, so recording never contends.  Recording writes only to the
      * collector's preallocated per-thread slots, so the 0-allocs/step
@@ -225,16 +195,9 @@ class ParallelSmvp
   private:
     telemetry::Collector *tele_ = nullptr;
     const DistributedProblem &problem_;
-    int num_shards_ = 1;
-    int threads_per_shard_ = 1;
+    int num_threads_ = 1;
     ExchangeMode mode_;
     SmvpKernelBackend backend_;
-
-    /** PE blocks: shard s owns PEs [shard_begin_[s], shard_begin_[s+1]). */
-    std::vector<int> shard_begin_;
-
-    /** Shard owning each PE (contiguous ascending blocks). */
-    std::vector<int> shard_of_;
 
     /**
      * Per-PE sliced-ELL slabs (kSlicedEll3 backend only): boundary rows
@@ -248,13 +211,12 @@ class ParallelSmvp
     std::vector<sparse::SlicedEll3Matrix> interior_ell_;
 
     /**
-     * kBcsr3 backend with more than one shard: per-PE copies of the
-     * subdomain stiffness, first-touched by the serving worker so the
-     * dominant kernel stream reads local-domain pages.  Values are
-     * identical to the originals, so results are bitwise unchanged.
-     * Empty for one shard, whose kernels read the subdomain matrix:
-     * a copy would add the whole matrix to the resident set
-     * (DESIGN.md §13).
+     * Pinned kBcsr3 engines: per-PE copies of the subdomain stiffness,
+     * first-touched by the serving worker so the dominant kernel
+     * stream reads pages it placed.  Values are identical to the
+     * originals, so results are bitwise unchanged.  Empty when
+     * unpinned, whose kernels read the subdomain matrix: a copy would
+     * add the whole matrix to the resident set (DESIGN.md §13).
      */
     std::vector<sparse::Bcsr3Matrix> local_stiffness_;
 
@@ -270,17 +232,13 @@ class ParallelSmvp
     /** Local ids (per subdomain) of each exchange's shared nodes. */
     std::vector<std::vector<std::int64_t>> exchange_local_nodes_;
 
-    /** Per-PE exchange bytes received from other/same-shard peers. */
-    std::vector<std::int64_t> pe_remote_bytes_;
-    std::vector<std::int64_t> pe_local_bytes_;
-    std::int64_t remote_bytes_ = 0;
-    std::int64_t local_bytes_ = 0;
-    double shard_imbalance_ = 0.0;
+    /** Exchange bytes all PEs receive per multiply. */
+    std::int64_t exchange_bytes_ = 0;
 
     // Persistent engine state, reused across multiplies.  Mutable so
     // multiply() stays const for callers; the engine is documented as
     // non-reentrant.
-    mutable std::unique_ptr<WorkerPool> pool_; ///< S x T workers
+    mutable std::unique_ptr<WorkerPool> pool_;
     mutable std::vector<std::vector<double>> x_local_;
     mutable std::vector<std::vector<double>> y_local_;
     mutable std::vector<std::vector<double>> buffers_;
@@ -307,22 +265,6 @@ class ParallelSmvp
 
     /** Per-PE step partials, padded to a cache line (stride 4). */
     mutable std::vector<sparse::StepPartials> step_partials_;
-
-    /**
-     * Worker w serves shard w / T as thread w % T: its PEs are
-     * firstPe(w), firstPe(w) + T, ... below endPe(w).
-     */
-    int firstPe(int w) const
-    {
-        return shard_begin_[static_cast<std::size_t>(
-                   w / threads_per_shard_)] +
-               w % threads_per_shard_;
-    }
-    int endPe(int w) const
-    {
-        return shard_begin_[static_cast<std::size_t>(
-            w / threads_per_shard_ + 1)];
-    }
 
     /** The stiffness PE i's kernels read (first-touched copy if any). */
     const sparse::Bcsr3Matrix &localK(int i) const

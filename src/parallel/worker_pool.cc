@@ -1,10 +1,65 @@
 #include "parallel/worker_pool.h"
 
+#include <algorithm>
+
 #include "common/error.h"
-#include "parallel/topology.h"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace quake::parallel
 {
+
+namespace
+{
+
+/**
+ * Pin the calling thread to CPU `cpu` (pthread_setaffinity_np).
+ * Returns false — without side effects — on failure, an id outside
+ * the cpu_set_t, or platforms without the call.
+ */
+bool
+pinCurrentThreadToCpu(int cpu)
+{
+#if defined(__linux__)
+    if (cpu < 0 || cpu >= CPU_SETSIZE)
+        return false;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+#else
+    (void)cpu;
+    return false;
+#endif
+}
+
+} // namespace
+
+std::vector<int>
+affinityCpus()
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        std::vector<int> cpus;
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &set))
+                cpus.push_back(c);
+        if (!cpus.empty())
+            return cpus;
+    }
+#endif
+    const int n = std::max(
+        1, static_cast<int>(std::thread::hardware_concurrency()));
+    std::vector<int> cpus(static_cast<std::size_t>(n));
+    for (int c = 0; c < n; ++c)
+        cpus[static_cast<std::size_t>(c)] = c;
+    return cpus;
+}
 
 int
 WorkerPool::hardwareThreads()
@@ -60,11 +115,10 @@ WorkerPool::workerLoop(int tid)
     // (and any page it first-touches) executes post-pin.  Advisory —
     // a failure is counted and the worker keeps running unpinned.
     if (!options_.workerCpus.empty()) {
-        const std::vector<int> &cpus =
-            options_.workerCpus[static_cast<std::size_t>(tid) %
-                                options_.workerCpus.size()];
         pin_attempts_.fetch_add(1, std::memory_order_relaxed);
-        if (!pinCurrentThreadToCpus(cpus))
+        if (!pinCurrentThreadToCpu(
+                options_.workerCpus[static_cast<std::size_t>(tid) %
+                                    options_.workerCpus.size()]))
             pin_failures_.fetch_add(1, std::memory_order_relaxed);
     }
 

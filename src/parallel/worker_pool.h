@@ -9,11 +9,10 @@
  * condition variable between multiplies, so the steady-state dispatch
  * cost is one wake/notify round trip instead of num_threads clone()s.
  *
- * The engine runs every shard x thread topology as blocks of one pool
- * (DESIGN.md §13).  WorkerPoolOptions optionally pins each worker to a
- * CPU set so a shard's threads — and the pages they first-touch — stay
- * in one NUMA domain; pinning is advisory (failures counted, never
- * fatal).
+ * WorkerPoolOptions optionally pins each worker to one CPU, so a
+ * worker — and the pages it first-touches — stays on that CPU for the
+ * pool's lifetime (DESIGN.md §13); pinning is advisory (failures
+ * counted, never fatal).
  */
 
 #ifndef QUAKE98_PARALLEL_WORKER_POOL_H_
@@ -36,13 +35,13 @@ namespace quake::parallel
 struct WorkerPoolOptions
 {
     /**
-     * CPU ids to pin worker t to (entry t, reused modulo size when
-     * shorter); empty = no pinning.  Each worker pins itself before
+     * The CPU id worker t pins itself to: entry t, reused modulo size
+     * when shorter; empty = no pinning.  Each worker pins itself before
      * its first dispatch, so every task runs post-pin.  Pinning is a
      * no-op for size-1 pools (work runs inline on the caller's thread,
      * which the pool must not hijack).
      */
-    std::vector<std::vector<int>> workerCpus;
+    std::vector<int> workerCpus;
 };
 
 /**
@@ -134,6 +133,12 @@ class WorkerPool
     int remaining_ = 0;       ///< workers still inside the current task
     bool stop_ = false;
 };
+
+/**
+ * CPU ids the process may run on (sched_getaffinity), ascending.  Falls
+ * back to [0, hardware_concurrency) where the syscall is unavailable.
+ */
+std::vector<int> affinityCpus();
 
 } // namespace quake::parallel
 

@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/fnv.h"
 #include "parallel/parallel_smvp.h"
-#include "parallel/topology.h"
 #include "partition/geometric_bisection.h"
 #include "sparse/assembly.h"
 #include "sparse/sliced_ell3.h"
@@ -31,8 +30,6 @@ SimulationConfig::validate() const
                  "smvpThreads must be >= 1, or 0 for hardware "
                  "concurrency; got "
                      << smvpThreads);
-    if (!topologySpec.empty())
-        parallel::Topology::parse(topologySpec); // throws when malformed
     QUAKE_EXPECT(sampleInterval >= 0,
                  "sampleInterval must be >= 0, got " << sampleInterval);
     QUAKE_EXPECT(maxSteps >= 0, "maxSteps must be >= 0, got " << maxSteps);
@@ -173,21 +170,18 @@ makeSimulationEngineWith(const mesh::TetMesh &mesh,
                         partitioner.partition(mesh, config.numPes),
                         config.poisson));
         }
-        // Execution topology (DESIGN.md §13): the spec (default flat)
-        // names the shards, smvpThreads is the thread budget that
-        // topologies without a fixed T divide.  None of this enters
-        // the fingerprint: the trajectory is bitwise invariant across
-        // topologies.
-        parallel::Topology topo = parallel::Topology::parse(
-            config.topologySpec.empty() ? "flat" : config.topologySpec,
-            config.pinSmvpThreads);
-        topo.threadBudget = config.smvpThreads;
+        // Thread placement (DESIGN.md §13): pinned, worker w runs on
+        // CPU w of the affinity mask.  Neither the thread count nor
+        // the pins enter the fingerprint: the trajectory is bitwise
+        // invariant across them.
         engine.psmvp = std::make_shared<parallel::ParallelSmvp>(
-            *engine.problem, topo,
+            *engine.problem, config.smvpThreads,
             config.overlapSmvp ? parallel::ExchangeMode::kOverlapped
                                : parallel::ExchangeMode::kBarrier,
             use_ell ? parallel::SmvpKernelBackend::kSlicedEll3
-                    : parallel::SmvpKernelBackend::kBcsr3);
+                    : parallel::SmvpKernelBackend::kBcsr3,
+            config.pinSmvpThreads ? parallel::affinityCpus()
+                                  : std::vector<int>{});
         // Zero-copy: the engine writes straight into the stepper's ku
         // scratch — the seed's `y = psmvp->multiply(x)` allocated and
         // copied a full DOF vector every step.
@@ -212,8 +206,6 @@ makeSimulationEngineWith(const mesh::TetMesh &mesh,
         smvp, std::move(mass), engine.dt);
     if (fused)
         engine.stepper->setFusedStep(std::move(fused));
-    if (engine.psmvp)
-        engine.stepper->setWorkerPool(&engine.psmvp->workerPool());
     if (config.collector != nullptr) {
         engine.stepper->setCollector(config.collector);
         if (engine.psmvp)

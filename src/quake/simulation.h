@@ -11,7 +11,6 @@
 #define QUAKE98_QUAKE_SIMULATION_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mesh/generator.h"
@@ -56,27 +55,22 @@ struct SimulationConfig
     int numPes = 1;
 
     /**
-     * Thread budget of the distributed SMVP engine; 0 = hardware
-     * concurrency (capped at numPes).  Ignored when numPes == 1.  A
-     * topology with a fixed thread count per shard ("SxT", T > 0)
-     * overrides it; every other topology divides it across shards.
+     * Worker threads of the distributed SMVP engine; 0 = hardware
+     * concurrency (capped at numPes).  Ignored when numPes == 1.
      */
     int smvpThreads = 0;
 
     /**
-     * Execution topology (DESIGN.md §13), distributed runs only.
-     * topologySpec names it: "" or "flat" (one shard), "auto"/"detect"
-     * (one shard per NUMA domain), or "SxT" (e.g. "2x4"; T = 0 divides
-     * smvpThreads).  pinSmvpThreads pins each shard's workers to its
-     * CPUs (advisory; failures are counted, never fatal).
+     * Pin engine worker w to CPU w of the process affinity mask
+     * (DESIGN.md §13), distributed runs only; advisory — failures are
+     * counted, never fatal.
      *
-     * Like smvpThreads/overlapSmvp/fusedStep these are execution knobs
-     * only — the trajectory is bitwise invariant across every topology
-     * (verify property `engine_invariance`) — so neither enters the
+     * Like smvpThreads/overlapSmvp/fusedStep this is an execution knob
+     * only — the trajectory is bitwise invariant across it (verify
+     * property `engine_invariance`) — so it does not enter the
      * checkpoint fingerprint.
      */
     bool pinSmvpThreads = false;
-    std::string topologySpec;
 
     /**
      * Overlap the interior-row compute with the boundary exchange
@@ -144,8 +138,8 @@ struct SimulationConfig
     /**
      * Reject invalid field combinations (FatalError naming the field):
      * positive finite duration/cflSafety, poisson in [0, 0.5),
-     * dampingA0 >= 0, numPes >= 1, smvpThreads >= 0, a parseable
-     * topologySpec, sampleInterval >= 0, maxSteps >= 0.  runSimulation
+     * dampingA0 >= 0, numPes >= 1, smvpThreads >= 0,
+     * sampleInterval >= 0, maxSteps >= 0.  runSimulation
      * calls this on entry; CLI front ends call it right after argument
      * parsing so a bad flag fails before any mesh is generated.
      */

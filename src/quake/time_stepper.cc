@@ -146,25 +146,9 @@ ExplicitTimeStepper::setInitialConditions(const std::vector<double> &u0,
     applySources(0.0);
     smvp_(u_, ku_);
 
-    // The starter triad is pointwise — no cross-DOF reduction — so any
-    // partitioning over the pool is bitwise identical to this loop.
-    const std::int64_t n = static_cast<std::int64_t>(u_.size());
-    auto starter = [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-            up_[i] = u0[i] - dt_ * v0[i] +
-                     0.5 * dt_ * dt_ * inv_mass_[i] * (f_[i] - ku_[i]);
-        }
-    };
-    if (pool_ != nullptr && pool_->size() > 1) {
-        const std::int64_t per =
-            (n + pool_->size() - 1) / pool_->size();
-        pool_->run([&](int tid) {
-            const std::int64_t lo = std::min<std::int64_t>(tid * per, n);
-            starter(lo, std::min<std::int64_t>(lo + per, n));
-        });
-    } else {
-        starter(0, n);
-    }
+    for (std::size_t i = 0; i < u_.size(); ++i)
+        up_[i] = u0[i] - dt_ * v0[i] +
+                 0.5 * dt_ * dt_ * inv_mass_[i] * (f_[i] - ku_[i]);
     clearSources();
 }
 

@@ -19,7 +19,6 @@
 
 #include "mesh/soil_model.h"
 #include "mesh/tet_mesh.h"
-#include "parallel/worker_pool.h"
 #include "quake/source.h"
 #include "sparse/bcsr3.h"
 #include "telemetry/collector.h"
@@ -95,15 +94,6 @@ class ExplicitTimeStepper
 
     /** Whether a fused backend is bound. */
     bool fusedStep() const { return static_cast<bool>(fused_); }
-
-    /**
-     * Optional worker pool for the pointwise setup passes
-     * (setInitialConditions' starter triad).  The pool is borrowed —
-     * it must outlive the stepper or be unbound with nullptr — and the
-     * result is bitwise identical to the serial pass (the starter is
-     * pointwise, with no cross-DOF reduction).
-     */
-    void setWorkerPool(parallel::WorkerPool *pool) { pool_ = pool; }
 
     /**
      * Enable mass-proportional Rayleigh damping with coefficient a0
@@ -208,7 +198,6 @@ class ExplicitTimeStepper
 
     SmvpFn smvp_;
     FusedStepFn fused_;
-    parallel::WorkerPool *pool_ = nullptr;
     telemetry::Collector *tele_ = nullptr;
     std::vector<double> inv_mass_;
     double dt_;

@@ -34,8 +34,8 @@ ScenarioRequest::validate() const
     QUAKE_EXPECT(deadlineMs >= 0,
                  "deadlineMs must be >= 0, got " << deadlineMs);
     // Physics/execution ranges (duration, cfl, poisson, damping,
-    // numPes, sampleInterval, maxSteps, topology spec) are the engine
-    // config's own contract.
+    // numPes, sampleInterval, maxSteps) are the engine config's own
+    // contract.
     toSimConfig().validate();
 }
 
@@ -55,7 +55,6 @@ ScenarioRequest::toSimConfig() const
     config.numPes = numPes;
     config.kernelBackend = kernelBackend;
     config.fusedStep = fusedStep;
-    config.topologySpec = topologyHint;
     // Collector and recorder stay null: the service owns telemetry
     // (engine-side ensureSlots would race concurrent executors), and
     // results are streamed as records, not seismogram traces.

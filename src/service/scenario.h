@@ -3,19 +3,19 @@
  * The scenario request/result types of the multi-tenant service
  * (DESIGN.md §14).  A ScenarioRequest is a complete, self-contained
  * description of one earthquake simulation — mesh spec, soil model,
- * source, physics, fault assumptions, execution topology hint, and an
- * SLO deadline — plus the content-addressed stage keys that let the
- * service share the expensive prefix (generated mesh, partition,
- * assembled stiffness) between every request that agrees on it.
+ * source, physics, fault assumptions, and an SLO deadline — plus the
+ * content-addressed stage keys that let the service share the
+ * expensive prefix (generated mesh, partition, assembled stiffness)
+ * between every request that agrees on it.
  *
  * Key discipline (see common::Fnv1aHasher): every semantically distinct
  * field is hashed individually with stage tags for domain separation;
  * later stages chain from earlier digests, so meshKey() is a prefix of
  * partitionKey() is a prefix of assemblyKey().  Execution-only knobs
- * (threads, topology hint, fused/unfused, deadline, faults) are
- * deliberately EXCLUDED from every key — the engine is proven bitwise
- * invariant across them — while the kernel backend IS included in the
- * scenario key because backends differ at ULP level.
+ * (threads, fused/unfused, deadline, faults) are deliberately EXCLUDED
+ * from every key — the engine is proven bitwise invariant across them
+ * — while the kernel backend IS included in the scenario key because
+ * backends differ at ULP level.
  */
 
 #ifndef QUAKE98_SERVICE_SCENARIO_H_
@@ -77,13 +77,6 @@ struct ScenarioRequest
     bool fusedStep = true;
 
     /**
-     * Topology hint: "" lets the service pack the scenario onto its
-     * shared pool; otherwise a parallel::Topology spec ("flat",
-     * "auto", "SxT") the engine should run under.
-     */
-    std::string topologyHint;
-
-    /**
      * Assumed network fault environment (capacity_planner-style): the
      * admission model inflates the predicted exchange cost by a
      * protocol-recovery factor derived from dropRate.  Does not change
@@ -110,7 +103,7 @@ struct ScenarioRequest
 
     /**
      * The equivalent single-run engine config (no collector, no
-     * recorder; threads/topology left for the service to fill in).
+     * recorder; threads left for the service to fill in).
      */
     sim::SimulationConfig toSimConfig() const;
 

@@ -21,8 +21,8 @@
  * property `service_scenario_bitwise`).  This follows from two proven
  * invariants — cached prefixes are pure const input data keyed by
  * content, and the engine trajectory is bitwise invariant across
- * thread counts/topologies — so neither caching nor packing can change
- * a single bit of any tenant's answer.
+ * thread counts — so neither caching nor packing can change a single
+ * bit of any tenant's answer.
  */
 
 #ifndef QUAKE98_SERVICE_SERVICE_H_

@@ -50,10 +50,6 @@ counterName(Counter c)
       case Counter::kEllSliceMultiplies: return "ell_slice_multiplies";
       case Counter::kEllPaddedBlocks: return "ell_padded_blocks";
       case Counter::kPinFailures: return "pin_failures";
-      case Counter::kShardRemoteBytes: return "shard_remote_bytes";
-      case Counter::kShardLocalBytes: return "shard_local_bytes";
-      case Counter::kShardImbalanceMilli:
-          return "shard_imbalance_milli";
       case Counter::kScenariosSubmitted: return "scenarios_submitted";
       case Counter::kScenariosCompleted: return "scenarios_completed";
       case Counter::kScenariosShed: return "scenarios_shed";

@@ -82,11 +82,8 @@ enum class Counter : std::uint8_t
     // Per-kernel backend counters (sliced-ELL engine, DESIGN.md §12).
     kEllSliceMultiplies, ///< sliced-ELL slice kernels executed
     kEllPaddedBlocks,    ///< zero-padding blocks streamed by those slices
-    // Hierarchical shard x thread engine counters (DESIGN.md §13).
-    kPinFailures,         ///< advisory thread pins that failed
-    kShardRemoteBytes,    ///< exchange bytes crossing a shard boundary
-    kShardLocalBytes,     ///< exchange bytes staying inside a shard
-    kShardImbalanceMilli, ///< (max shard rows / mean - 1) * 1000
+    // Thread placement (DESIGN.md §13).
+    kPinFailures, ///< advisory thread pins that failed
     // Scenario-service counters (service/service.h, DESIGN.md §14).
     kScenariosSubmitted,     ///< requests accepted into the queue
     kScenariosCompleted,     ///< scenarios that ran to completion

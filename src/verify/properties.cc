@@ -11,7 +11,6 @@
 #include "parallel/event_sim.h"
 #include "parallel/parallel_smvp.h"
 #include "parallel/reliable_exchange.h"
-#include "parallel/topology.h"
 #include "parallel/worker_pool.h"
 #include "quake/simulation.h"
 #include "common/rng.h"
@@ -268,12 +267,13 @@ propFusedVsUnfused(const TrialConfig &cfg)
 
 // ---------------------------------------------------------------------------
 // Property: the distributed engine is invariant across its execution
-// knobs.  For each kernel backend it is bitwise equal to its own flat
-// 1-thread barrier reference at every flat thread count and shard x
-// thread topology — pinned, and pinned to CPUs that cannot exist, so
-// every pin takes the advisory-failure fallback — in both exchange
-// modes; multiplyInto equals multiply; stepFused equals the reference's
-// multiply + the reference triad, with partials stable across configs.
+// knobs.  For each kernel backend it is bitwise equal to its own
+// 1-thread barrier reference at every configured thread count and with
+// workers pinned — one per CPU of the affinity mask, and to a CPU that
+// cannot exist, so every pin takes the advisory-failure fallback — in
+// both exchange modes; multiplyInto equals multiply; stepFused equals
+// the reference's multiply + the reference triad, with partials stable
+// across configs.
 // Each reference is ULP-close to the global assembly, and the two
 // backends agree within the mixed oracle (FMA contraction on the AVX2
 // ELL path is their only legal difference).
@@ -295,41 +295,21 @@ propEngineInvariance(const TrialConfig &cfg)
     StepFixture fx = StepFixture::make(gen, n, sys.lumpedMass, sys.dt);
     fx.u = x; // the fused step's x is the multiply's x
 
-    // Flat at each configured thread count, then shards x threads per
-    // shard (shards clamp to the PE count on small partitions — also
-    // under test).
+    // Unpinned at each configured thread count, then 4 workers pinned
+    // to real and to bogus CPUs (workers cap at the PE count on small
+    // partitions — also under test).
     struct Config
     {
         std::string label;
-        parallel::Topology topo;
+        int threads;
+        std::vector<int> pinCpus;
         bool bogusCpus;
     };
     std::vector<Config> configs;
     for (int t : cfg.threads)
-        configs.push_back({"flat " + std::to_string(t),
-                           parallel::Topology::flat(t), false});
-    struct Grid
-    {
-        int shards;
-        int tps;
-        bool pin;
-        bool bogusCpus;
-    };
-    for (const Grid &g : {Grid{1, 3, false, false}, Grid{2, 1, false, false},
-                          Grid{2, 2, false, false}, Grid{4, 1, false, false},
-                          Grid{4, 3, false, false}, Grid{2, 2, true, false},
-                          Grid{2, 2, true, true}})
-    {
-        parallel::Topology topo =
-            parallel::Topology::uniform(g.shards, g.tps, g.pin);
-        if (g.bogusCpus)
-            topo.shardCpus.assign(static_cast<std::size_t>(g.shards),
-                                  {1 << 20});
-        configs.push_back(
-            {std::to_string(g.shards) + "x" + std::to_string(g.tps) +
-                 (g.bogusCpus ? " bogus-pin" : g.pin ? " pinned" : ""),
-             std::move(topo), g.bogusCpus});
-    }
+        configs.push_back({std::to_string(t) + " threads", t, {}, false});
+    configs.push_back({"4 pinned", 4, parallel::affinityCpus(), false});
+    configs.push_back({"4 bogus-pin", 4, {1 << 20}, true});
 
     std::vector<std::vector<double>> yBackend;
     for (parallel::SmvpKernelBackend backend :
@@ -359,8 +339,8 @@ propEngineInvariance(const TrialConfig &cfg)
         {
             for (const Config &c : configs)
             {
-                const parallel::ParallelSmvp engine(problem, c.topo, mode,
-                                                    backend);
+                const parallel::ParallelSmvp engine(
+                    problem, c.threads, mode, backend, c.pinCpus);
                 const std::string label =
                     " (" + bname +
                     (mode == parallel::ExchangeMode::kBarrier
@@ -368,11 +348,9 @@ propEngineInvariance(const TrialConfig &cfg)
                          : " overlapped ") +
                     c.label + ")";
 
-                if (engine.numShards() < 1 ||
-                    engine.numShards() > problem.numPes() ||
-                    engine.threadsPerShard() < 1)
-                    return fail("topology normalization out of range" +
-                                label);
+                if (engine.numThreads() < 1 ||
+                    engine.numThreads() > problem.numPes())
+                    return fail("thread count out of range" + label);
                 if (c.bogusCpus && engine.numThreads() > 1 &&
                     engine.pinFailures() != engine.numThreads())
                     return fail("bogus-CPU pins: " +
@@ -1567,8 +1545,8 @@ allProperties()
          "fused backends",
          propFusedVsUnfused},
         {"engine_invariance",
-         "ParallelSmvp bitwise invariant per backend across flat thread "
-         "counts, shard x thread topologies, (failing) pins, and both "
+         "ParallelSmvp bitwise invariant per backend across thread "
+         "counts, one-CPU-per-worker (and failing) pins, and both "
          "exchange modes; fused == multiply + triad; ULP across backends",
          propEngineInvariance},
         {"symmetry_bilinear", "x'Ky == y'Kx on assembled and random SPD K",

@@ -11,67 +11,16 @@
  * (a reproducer line is printed per failure), 2 = usage error.
  */
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "common/allocation_counter.h"
 #include "verify/fuzz.h"
 #include "verify/oracles.h"
-
-namespace
-{
-
-// Global operator-new counter feeding the telemetry-transparency
-// property's zero-allocation assertion (see tests/test_telemetry.cc for
-// the same pattern).  Relaxed ordering: counts, not synchronization.
-std::atomic<std::int64_t> g_news{0};
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    void *p = std::malloc(size);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -201,7 +150,8 @@ main(int argc, char **argv)
         }
     }
 
-    quake::verify::setAllocationCounter(&g_news);
+    quake::verify::setAllocationCounter(
+        &quake::common::allocationCounter());
     const quake::verify::FuzzReport report = quake::verify::runFuzz(options);
     quake::verify::setAllocationCounter(nullptr);
 

@@ -9,7 +9,6 @@
 #include <set>
 
 #include "common/args.h"
-#include "common/engine_cli.h"
 #include "common/error.h"
 #include "common/fnv.h"
 #include "common/rng.h"
@@ -378,66 +377,6 @@ TEST(Fnv1aHasher, SingleValueSensitivity)
     a.value(0.25);
     b.value(0.250001);
     EXPECT_NE(a.digest(), b.digest());
-}
-
-// ------------------------------------------------------------ engine_cli
-
-using quake::common::EngineCliOptions;
-using quake::common::parseEngineCli;
-
-TEST(EngineCli, DefaultsWhenNoFlags)
-{
-    const EngineCliOptions cli = parseEngineCli(makeArgs({}));
-    EXPECT_FALSE(cli.pin);
-    EXPECT_TRUE(cli.topologySpec.empty());
-    EXPECT_FALSE(cli.faults);
-    EXPECT_FALSE(cli.hasDeadlineMs);
-    EXPECT_EQ(cli.retryBudget, 3);
-    EXPECT_EQ(cli.sampleEvery, 16);
-}
-
-TEST(EngineCli, ParsesSharedEngineFlags)
-{
-    const EngineCliOptions cli = parseEngineCli(makeArgs(
-        {"--pin", "--topology", "2x2", "--faults", "--drop-rate",
-         "0.01", "--seed", "99", "--deadline-ms", "250",
-         "--retry-budget", "5", "--trace", "t.json", "--metrics",
-         "m.json", "--sample-every", "8"}));
-    EXPECT_TRUE(cli.pin);
-    EXPECT_EQ(cli.topologySpec, "2x2");
-    EXPECT_TRUE(cli.faults);
-    EXPECT_DOUBLE_EQ(cli.dropRate, 0.01);
-    EXPECT_EQ(cli.faultSeed, 99u);
-    EXPECT_TRUE(cli.hasDeadlineMs);
-    EXPECT_DOUBLE_EQ(cli.deadlineMs, 250.0);
-    EXPECT_EQ(cli.retryBudget, 5);
-    EXPECT_EQ(cli.tracePath, "t.json");
-    EXPECT_EQ(cli.metricsPath, "m.json");
-    EXPECT_EQ(cli.sampleEvery, 8);
-}
-
-TEST(EngineCli, RejectsBadValues)
-{
-    EXPECT_THROW(
-        parseEngineCli(makeArgs({"--faults", "--drop-rate", "1.5"})),
-        FatalError);
-    EXPECT_THROW(parseEngineCli(makeArgs({"--deadline-ms", "0"})),
-                 FatalError);
-    EXPECT_THROW(
-        parseEngineCli(makeArgs({"--deadline-ms", "50",
-                                 "--retry-budget", "0"})),
-        FatalError);
-    EXPECT_THROW(parseEngineCli(makeArgs({"--sample-every", "0"})),
-                 FatalError);
-}
-
-TEST(EngineCli, DropRateIgnoredWithoutFaults)
-{
-    // --drop-rate only matters under --faults; alone it must not trip
-    // the fault-spec validation (matches the old per-example parsing).
-    const EngineCliOptions cli =
-        parseEngineCli(makeArgs({"--drop-rate", "2.0"}));
-    EXPECT_FALSE(cli.faults);
 }
 
 } // namespace

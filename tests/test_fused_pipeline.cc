@@ -352,35 +352,4 @@ TEST(StepperStats, CachedStatsMatchExplicitSweep)
     }
 }
 
-// ------------------------------------------------- pooled initial conditions
-
-TEST(PooledSetup, InitialConditionsBitwiseMatchSerial)
-{
-    const System sys = latticeSystem();
-    SmvpFn smvp = [&sys](const std::vector<double> &x,
-                         std::vector<double> &y) {
-        sys.k.multiply(x.data(), y.data());
-    };
-    const std::size_t dof = sys.mass.size();
-    std::vector<double> u0(dof), v0(dof);
-    for (std::size_t i = 0; i < dof; ++i) {
-        u0[i] = 1e-3 * std::sin(0.13 * static_cast<double>(i));
-        v0[i] = 1e-4 * std::cos(0.29 * static_cast<double>(i));
-    }
-
-    ExplicitTimeStepper serial = makeStepper(sys, smvp, 0.0);
-    serial.setInitialConditions(u0, v0);
-
-    parallel::WorkerPool pool(4);
-    ExplicitTimeStepper pooled = makeStepper(sys, smvp, 0.0);
-    pooled.setWorkerPool(&pool);
-    pooled.setInitialConditions(u0, v0);
-
-    for (std::size_t i = 0; i < dof; ++i) {
-        ASSERT_EQ(serial.previousDisplacement()[i],
-                  pooled.previousDisplacement()[i])
-            << "dof " << i;
-    }
-}
-
 } // namespace

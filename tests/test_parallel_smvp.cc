@@ -2,10 +2,16 @@
  * @file
  * Tests for the executable parallel SMVP: exact agreement with the
  * sequential global product across part counts and thread counts,
- * bitwise determinism, and input validation.
+ * bitwise determinism, input validation, and pinned engines (one CPU
+ * per worker, DESIGN.md §13): advisory pins that fail open, one pin
+ * per worker, collector detach, and clean teardown.
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <memory>
+#include <thread>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -14,6 +20,7 @@
 #include "partition/baselines.h"
 #include "partition/geometric_bisection.h"
 #include "sparse/assembly.h"
+#include "telemetry/collector.h"
 
 namespace
 {
@@ -206,6 +213,109 @@ TEST(ParallelSmvp, ZeroInputGivesZeroOutput)
                             0.0));
     for (double v : y)
         EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+// ------------------------------------------------------ pinned engines
+
+/** The 8-PE problem of the default fixture lattice. */
+DistributedProblem
+eightPeProblem(const SmvpFixtureData &s)
+{
+    return distribute(s.mesh, s.model,
+                      GeometricBisection().partition(s.mesh, 8));
+}
+
+/** Worker pins to a CPU id no machine has: every pin fails. */
+const std::vector<int> kBogusCpus = {1 << 20};
+
+TEST(PinnedEngine, BogusPinFailsOpenAndStaysBitwise)
+{
+    SmvpFixtureData s;
+    const DistributedProblem problem = eightPeProblem(s);
+    const std::vector<double> y_ref =
+        ParallelSmvp(problem, 1).multiply(s.x);
+
+    const ParallelSmvp engine(problem, 4, ExchangeMode::kOverlapped,
+                              SmvpKernelBackend::kBcsr3, kBogusCpus);
+    EXPECT_GT(engine.pinFailures(), 0);
+    EXPECT_EQ(engine.multiply(s.x), y_ref);
+}
+
+TEST(PinnedEngine, OnePoolPinsEachWorkerOnce)
+{
+    // 4 workers of one pool, each pinning itself once: 4 attempts, all
+    // failing on a CPU id that cannot exist — no extra threads, no
+    // extra pins.
+    SmvpFixtureData s;
+    const DistributedProblem problem = eightPeProblem(s);
+    const ParallelSmvp engine(problem, 4, ExchangeMode::kOverlapped,
+                              SmvpKernelBackend::kBcsr3, kBogusCpus);
+    EXPECT_EQ(engine.numThreads(), 4);
+    EXPECT_EQ(engine.workerPool().size(), 4);
+    EXPECT_EQ(engine.workerPool().pinAttempts(), 4);
+    EXPECT_EQ(engine.pinFailures(), 4);
+}
+
+TEST(PinnedEngine, DetachedCollectorIsNeverTouchedAgain)
+{
+    // setCollector(nullptr) must reach every pinned worker: once it
+    // returns, tearing the engine down — which wakes every parked
+    // worker — records nothing more.
+    namespace telemetry = quake::telemetry;
+    SmvpFixtureData s;
+    const DistributedProblem problem = eightPeProblem(s);
+    const std::size_t n = s.x.size();
+    std::vector<double> up(n, 0.0), inv_mass(n, 1.0), force(n, 0.0);
+    quake::sparse::StepUpdate su;
+    su.u = s.x.data();
+    su.up = up.data();
+    su.f = force.data();
+    su.invMass = inv_mass.data();
+    su.dt = 1e-3;
+    su.dt2 = su.dt * su.dt;
+
+    telemetry::Collector collector;
+    auto engine = std::make_unique<ParallelSmvp>(
+        problem, 4, ExchangeMode::kOverlapped, SmvpKernelBackend::kBcsr3,
+        affinityCpus());
+    ASSERT_EQ(engine->numThreads(), 4);
+    engine->setCollector(&collector);
+    engine->stepFused(su);
+    // Let every worker park again with the collector still attached.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    engine->setCollector(nullptr);
+
+    const auto totals = [&collector] {
+        std::vector<std::uint64_t> t;
+        for (int c = 0; c < static_cast<int>(telemetry::Counter::kCount);
+             ++c)
+            t.push_back(collector.counterTotal(
+                static_cast<telemetry::Counter>(c)));
+        return t;
+    };
+    const std::vector<std::uint64_t> detached = totals();
+    EXPECT_EQ(detached[static_cast<std::size_t>(
+                  telemetry::Counter::kSmvpCalls)],
+              1u);
+    engine.reset();
+    EXPECT_EQ(totals(), detached);
+}
+
+TEST(PinnedEngine, DestructsCleanlyAfterUse)
+{
+    SmvpFixtureData s;
+    const DistributedProblem problem = distribute(
+        s.mesh, s.model, GeometricBisection().partition(s.mesh, 4));
+    std::vector<double> y_first;
+    {
+        const ParallelSmvp engine(problem, 4, ExchangeMode::kOverlapped,
+                                  SmvpKernelBackend::kBcsr3,
+                                  affinityCpus());
+        y_first = engine.multiply(s.x);
+        // Destruction with pinned workers parked mid-epoch must join
+        // every worker without hanging.
+    }
+    EXPECT_EQ(y_first, ParallelSmvp(problem, 1).multiply(s.x));
 }
 
 } // namespace

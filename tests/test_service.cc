@@ -380,7 +380,6 @@ TEST(ScenarioKeys, ExecutionKnobsDoNotChangeAnyKey)
     const ScenarioRequest a = smallRequest();
     ScenarioRequest b = a;
     b.fusedStep = false;
-    b.topologyHint = "2x2";
     b.faults = true;
     b.faultDropRate = 0.1;
     b.deadlineMs = 500.0;
@@ -608,22 +607,6 @@ TEST(ScenarioService, SequentialScenarioReportsOneThread)
     EXPECT_EQ(served.threadsUsed, 1);
     EXPECT_EQ(ScenarioService::runStandalone(smallRequest()).threadsUsed,
               1);
-}
-
-TEST(ScenarioService, TopologyHintReportsTheEngineThreads)
-{
-    // A "2x2" hint runs 2 shards of 2 threads: 4, not the lane's 2.
-    ServiceOptions opt = smallServiceOptions();
-    opt.totalThreads = 2;
-    opt.executors = 1;
-    ScenarioRequest req = smallRequest();
-    req.numPes = 4;
-    req.maxSteps = 4;
-    req.topologyHint = "2x2";
-    ScenarioService svc(opt);
-    const ScenarioResult served = svc.submit(req).get();
-    ASSERT_TRUE(served.completed) << served.error;
-    EXPECT_EQ(served.threadsUsed, 4);
 }
 
 TEST(ScenarioService, DistributedScenarioMatchesStandalone)

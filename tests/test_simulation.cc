@@ -1,14 +1,21 @@
 /**
  * @file
  * Tests for the end-to-end Quake simulation driver: sequential and
- * distributed runs agree, reports are coherent, and the SMVP dominates
- * the step time (the paper's §2.3 premise).
+ * distributed runs agree, reports are coherent, the SMVP dominates
+ * the step time (the paper's §2.3 premise), and a pinned engine runs
+ * each worker on its own CPU.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <vector>
+
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "common/error.h"
 #include "mesh/generator.h"
@@ -101,20 +108,40 @@ TEST(Simulation, DistributedMatchesSequential)
                     1e-6 * (1.0 + seq.samples[i].kineticEnergy));
 }
 
-TEST(Simulation, TopologySpecKeepsTheThreadBudget)
+#ifdef __linux__
+TEST(Simulation, PinnedEnginePinsEachWorkerToOneCpu)
 {
-    // A named topology still divides smvpThreads: "flat" with a
-    // 1-thread budget runs one worker, not every affinity CPU.
+    // pinSmvpThreads pins worker w to CPU w of the affinity mask, so
+    // each worker's own mask holds exactly one CPU, and no two workers
+    // share it.
+    if (quake::parallel::affinityCpus().size() < 2)
+        GTEST_SKIP() << "needs at least 2 CPUs in the affinity mask";
     SmallProblem p;
     SimulationConfig config = smallConfig();
     config.numPes = 8;
-    config.topologySpec = "flat";
-    config.smvpThreads = 1;
+    config.smvpThreads = 2;
+    config.pinSmvpThreads = true;
     const SimulationEngine engine =
         makeSimulationEngine(p.mesh, p.model, config);
     ASSERT_NE(engine.psmvp, nullptr);
-    EXPECT_EQ(engine.psmvp->numThreads(), 1);
+    quake::parallel::WorkerPool &pool = engine.psmvp->workerPool();
+    ASSERT_EQ(pool.size(), 2);
+
+    std::vector<std::vector<int>> masks(2);
+    pool.run([&masks](int w) {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) != 0)
+            return;
+        for (int c = 0; c < CPU_SETSIZE; ++c)
+            if (CPU_ISSET(c, &set))
+                masks[static_cast<std::size_t>(w)].push_back(c);
+    });
+    ASSERT_EQ(masks[0].size(), 1u);
+    ASSERT_EQ(masks[1].size(), 1u);
+    EXPECT_NE(masks[0][0], masks[1][0]);
 }
+#endif
 
 TEST(Simulation, MaxStepsCapsRun)
 {

@@ -17,10 +17,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <vector>
 
+#include "common/allocation_counter.h"
 #include "common/error.h"
 #include "mesh/generator.h"
 #include "parallel/parallel_smvp.h"
@@ -30,56 +30,6 @@
 #include "telemetry/collector.h"
 #include "telemetry/export.h"
 #include "telemetry/report.h"
-
-// ---------------------------------------------------------------------
-// Global allocation hook: counts every heap allocation in the binary so
-// the steady-state test can assert the instrumented fused loop (with
-// telemetry recording enabled) allocates nothing.
-// ---------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::int64_t> g_allocations{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -630,12 +580,14 @@ TEST(TelemetryOverhead, SteadyStateRecordsWithoutAllocating)
     for (int s = 0; s < 20; ++s)
         stepper.step();
 
+    const std::atomic<std::int64_t> &allocations =
+        quake::common::allocationCounter();
     const std::int64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+        allocations.load(std::memory_order_relaxed);
     for (int s = 0; s < 64; ++s)
         stepper.step();
     const std::int64_t allocated =
-        g_allocations.load(std::memory_order_relaxed) - before;
+        allocations.load(std::memory_order_relaxed) - before;
 
     EXPECT_EQ(allocated, 0)
         << "instrumented fused loop heap-allocated in steady state";

@@ -9,15 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <sstream>
 
+#include "common/allocation_counter.h"
 #include "common/error.h"
 #include "mesh/generator.h"
 #include "parallel/fault_model.h"
@@ -31,57 +30,6 @@
 #include "verify/oracles.h"
 #include "verify/properties.h"
 #include "verify/ulp.h"
-
-// ---------------------------------------------------------------------
-// Global allocation hook (same pattern as test_telemetry.cc): counts
-// every operator-new so the telemetry-transparency property can assert
-// its traced steady state allocates nothing.
-// ---------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::int64_t> g_allocations{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    void *p = std::malloc(size);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -195,7 +143,8 @@ TEST(Generators, PartitionHasNoEmptyParts)
 
 TEST(Properties, CatalogueOnFixedSeed)
 {
-    quake::verify::setAllocationCounter(&g_allocations);
+    quake::verify::setAllocationCounter(
+        &quake::common::allocationCounter());
     TrialConfig cfg;
     cfg.seed = 0x5eed;
     cfg.size = 1;

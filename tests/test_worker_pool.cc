@@ -4,9 +4,9 @@
  * fork/join, the pool is reusable across many epochs (the engine runs
  * thousands of timesteps against one pool), the size-1 pool runs
  * inline without spawning threads, hardwareThreads() respects the
- * process affinity mask, advisory pinning counts failures instead
- * of aborting (DESIGN.md §13), and no worker touches a collector after
- * it is detached.
+ * process affinity mask, advisory one-CPU-per-worker pinning counts
+ * failures instead of aborting (DESIGN.md §13), and no worker touches a
+ * collector after it is detached.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <sched.h>
 #endif
 
-#include "parallel/topology.h"
 #include "parallel/worker_pool.h"
 #include "telemetry/collector.h"
 
@@ -71,6 +70,14 @@ TEST(WorkerPool, DefaultSizeIsPositive)
     EXPECT_GE(WorkerPool::hardwareThreads(), 1);
 }
 
+TEST(WorkerPool, AffinityCpusNonEmptyAscending)
+{
+    const std::vector<int> cpus = quake::parallel::affinityCpus();
+    ASSERT_GE(cpus.size(), 1u);
+    for (std::size_t i = 1; i < cpus.size(); ++i)
+        EXPECT_LT(cpus[i - 1], cpus[i]);
+}
+
 TEST(WorkerPool, HardwareThreadsMatchesAffinityMask)
 {
     // hardwareThreads() must report usable concurrency — the CPUs the
@@ -114,7 +121,7 @@ TEST(WorkerPool, PinnedWorkersCountAttemptsAndSucceedOnRealCpus)
     // attempt must stick, and the pool must work exactly as unpinned.
     const std::vector<int> cpus = quake::parallel::affinityCpus();
     quake::parallel::WorkerPoolOptions opts;
-    opts.workerCpus = {{cpus[0]}}; // reused modulo size for both tids
+    opts.workerCpus = {cpus[0]}; // reused modulo size for both tids
     WorkerPool pool(2, opts);
     std::atomic<int> total{0};
     pool.run([&](int) { total++; });
@@ -128,7 +135,7 @@ TEST(WorkerPool, BogusPinFailsGracefullyAndStillRuns)
     // A CPU id far beyond any real machine: the pin must fail, be
     // counted, and leave the pool fully functional (advisory only).
     quake::parallel::WorkerPoolOptions opts;
-    opts.workerCpus = {{1 << 20}};
+    opts.workerCpus = {1 << 20};
     WorkerPool pool(2, opts);
     std::atomic<int> total{0};
     for (int epoch = 0; epoch < 10; ++epoch)
@@ -143,7 +150,7 @@ TEST(WorkerPool, SizeOnePoolIgnoresPinning)
     // Size-1 pools run inline on the caller's thread, which the pool
     // must not re-pin out from under the caller.
     quake::parallel::WorkerPoolOptions opts;
-    opts.workerCpus = {{0}};
+    opts.workerCpus = {0};
     WorkerPool pool(1, opts);
     std::atomic<int> total{0};
     pool.run([&](int tid) {
@@ -159,7 +166,7 @@ TEST(WorkerPool, PinnedPoolDestructsCleanly)
     // Construction joins no dispatch, so destruction must work whether
     // or not the pool ever ran — including with failed pins pending.
     quake::parallel::WorkerPoolOptions opts;
-    opts.workerCpus = {{1 << 20}, {0}};
+    opts.workerCpus = {1 << 20, 0};
     {
         WorkerPool unused(3, opts);
     }
