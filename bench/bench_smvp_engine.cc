@@ -174,8 +174,8 @@ main(int argc, char **argv)
               << (bitwise_equal ? "PASS" : "FAIL") << "\n"
               << "pinned bitwise-equals unpinned: "
               << (pinned_equal ? "PASS" : "FAIL") << " ("
-              << pinned.pinFailures() << " of " << pinned.numThreads()
-              << " pins failed)\n";
+              << pinned.pinFailures() << " of "
+              << pinned.workerPool().pinAttempts() << " pins failed)\n";
     const double speedup = serial_seconds / engine_seconds;
     std::cout << "engine speedup vs best serial kernel ("
               << spark::kernelName(tuned.best)

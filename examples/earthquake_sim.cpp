@@ -162,6 +162,15 @@ run(int argc, char **argv)
                  "run failed after " << outcome.attempts
                                      << " attempt(s): " << outcome.error);
     const sim::SimulationReport &report = outcome.report;
+    // Rates from the unrounded wall time, so short runs compare too.
+    const double steps_per_s =
+        report.totalSeconds > 0.0
+            ? static_cast<double>(report.steps) / report.totalSeconds
+            : 0.0;
+    const double ms_per_step =
+        report.steps > 0 ? 1e3 * report.totalSeconds /
+                               static_cast<double>(report.steps)
+                         : 0.0;
 
     std::cout << "\nRun summary:\n"
               << "  time step (CFL)      : "
@@ -172,6 +181,10 @@ run(int argc, char **argv)
               << " s\n"
               << "  wall time in step()  : "
               << common::formatFixed(report.totalSeconds, 2) << " s\n"
+              << "  steps per second     : "
+              << common::formatFixed(steps_per_s, 1) << "\n"
+              << "  ms per step          : "
+              << common::formatFixed(ms_per_step, 4) << "\n"
               << "  wall time in SMVP    : "
               << common::formatFixed(report.smvpSeconds, 2) << " s  ("
               << common::formatFixed(100.0 * report.smvpFraction, 1)
@@ -283,12 +296,21 @@ run(int argc, char **argv)
     }
 
     if (collector.enabled()) {
+        // Pool waits that outlasted the spin budget and parked.
+        const double parks_per_step =
+            report.steps > 0
+                ? static_cast<double>(collector.counterTotal(
+                      telemetry::Counter::kPoolParks)) /
+                      static_cast<double>(report.steps)
+                : 0.0;
         std::cout << "\nTelemetry (" << collector.spansRecorded()
                   << " spans, "
                   << collector.counterTotal(
                          telemetry::Counter::kStepsSampled)
                   << " sampled steps, " << collector.spansDropped()
-                  << " dropped):\n";
+                  << " dropped):\n"
+                  << "  pool parks per step  : "
+                  << common::formatFixed(parks_per_step, 3) << "\n";
         if (!trace_path.empty() &&
             telemetry::writeChromeTrace(collector, trace_path))
             std::cout << "  wrote Chrome trace " << trace_path

@@ -95,10 +95,10 @@ struct DistributedProblem
 /**
  * Build the per-PE subdomains for `partition` of `mesh`.  The subdomains
  * are built concurrently on a transient pool of min(P,
- * WorkerPool::hardwareThreads()) workers, and their bytes do not depend
- * on the worker count (DESIGN.md §5).  When building some PEs throws,
- * the lowest such PE's exception is rethrown: the error a serial loop
- * over the PEs would raise.
+ * WorkerPool::hardwareThreads()) workers, the calling thread among
+ * them, and their bytes do not depend on the worker count (DESIGN.md
+ * §5).  When building some PEs throws, the lowest such PE's exception
+ * is rethrown: the error a serial loop over the PEs would raise.
  *
  * @param mesh      The global mesh.
  * @param partition Element partition (validated).

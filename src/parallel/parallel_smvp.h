@@ -10,7 +10,7 @@
  *
  *  - Logical PEs are multiplexed onto one persistent WorkerPool
  *    created once per engine lifetime; no threads are spawned per
- *    multiply.
+ *    multiply, and the calling thread serves worker 0's PEs.
  *  - Message buffers and local vectors are allocated once and reused.
  *  - In ExchangeMode::kOverlapped (the default), each PE computes its
  *    boundary rows first and publishes its message buffers early, then
@@ -19,9 +19,10 @@
  *    rather than only in the analytic model.
  *
  * Worker w of T serves PEs w, w + T, w + 2T, ... (DESIGN.md §13).
- * Under pinning each worker pins itself to one CPU and first-touches
- * its PEs' slabs, scratch, exchange buffers, and a copy of their
- * stiffness, so the pages it streams every step stay where it runs.
+ * Under pinning each worker but the caller's pins itself to one CPU;
+ * every worker first-touches its PEs' slabs, scratch, exchange
+ * buffers, and a copy of their stiffness, so the pages it streams
+ * every step stay where it runs.
  *
  * The result is bitwise deterministic and independent of thread count,
  * pinning, and overlap mode: every row is computed by the same
@@ -81,16 +82,18 @@ class ParallelSmvp
      *                    cache-line-padded sliced-ELL slabs at
      *                    construction; the steady-state step performs
      *                    no further allocation.
-     * @param pin_cpus    Empty = unpinned.  Otherwise worker w pins
-     *                    itself to CPU pin_cpus[w % pin_cpus.size()]
+     * @param pin_cpus    Empty = unpinned.  Otherwise worker w >= 1
+     *                    pins itself to CPU pin_cpus[w % pin_cpus.size()]
      *                    before its first task (advisory — see
-     *                    pinFailures()), and the BCSR3 backend gives
-     *                    each PE a copy of its subdomain stiffness,
-     *                    first-touched by the worker that serves it.
+     *                    pinFailures()); worker 0 is the calling thread
+     *                    and is never pinned.  The BCSR3 backend then
+     *                    gives each PE a copy of its subdomain
+     *                    stiffness, first-touched by the worker that
+     *                    serves it.
      *
      * Each worker first-touch-initializes the kernel slabs, scratch
      * vectors, and exchange buffers of the PEs it serves during
-     * construction.
+     * construction; worker 0's are touched by the constructing thread.
      */
     explicit ParallelSmvp(
         const DistributedProblem &problem, int num_threads = 0,
@@ -151,8 +154,9 @@ class ParallelSmvp
     SmvpKernelBackend kernelBackend() const { return backend_; }
 
     /**
-     * Advisory pin attempts that failed, at most one per worker (0
-     * when the engine is unpinned or every pin stuck).
+     * Advisory pin attempts that failed, at most one per pool thread
+     * (numThreads() − 1; 0 when the engine is unpinned or every pin
+     * stuck).
      * Complete once construction returns: the first-touch setup
      * dispatch joins all workers past their self-pin.
      */

@@ -32,6 +32,7 @@ counterName(Counter c)
       case Counter::kStepsSampled: return "steps_sampled";
       case Counter::kPoolRuns: return "pool_runs";
       case Counter::kWorkerWaitNanos: return "worker_wait_nanos";
+      case Counter::kPoolParks: return "pool_parks";
       case Counter::kAcquireSpinNanos: return "acquire_spin_nanos";
       case Counter::kAcquireSpins: return "acquire_spins";
       case Counter::kRetransmissions: return "retransmissions";

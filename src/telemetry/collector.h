@@ -62,7 +62,8 @@ enum class Counter : std::uint8_t
     kSmvpCalls,        ///< multiplies / fused steps issued
     kStepsSampled,     ///< steps on which fine-grained spans fired
     kPoolRuns,         ///< WorkerPool fork/join dispatches
-    kWorkerWaitNanos,  ///< workers blocked between dispatches
+    kWorkerWaitNanos,  ///< workers waiting between tasks (see WorkerPool)
+    kPoolParks,        ///< pool waits that outlasted the spin and parked
     kAcquireSpinNanos, ///< time spent spinning on unpublished buffers
     kAcquireSpins,     ///< number of spins that actually waited
     // Reliable-exchange protocol counters (reliable_exchange.h).

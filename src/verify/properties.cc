@@ -351,13 +351,14 @@ propEngineInvariance(const TrialConfig &cfg)
                 if (engine.numThreads() < 1 ||
                     engine.numThreads() > problem.numPes())
                     return fail("thread count out of range" + label);
-                if (c.bogusCpus && engine.numThreads() > 1 &&
-                    engine.pinFailures() != engine.numThreads())
+                // Worker 0 is the caller's thread and never pins.
+                if (c.bogusCpus &&
+                    engine.pinFailures() != engine.numThreads() - 1)
                     return fail("bogus-CPU pins: " +
                                 std::to_string(engine.pinFailures()) +
                                 " failures for " +
-                                std::to_string(engine.numThreads()) +
-                                " workers" + label);
+                                std::to_string(engine.numThreads() - 1) +
+                                " pool threads" + label);
 
                 if (!bitwiseEqual(yRef, engine.multiply(x)))
                     return fail("engine multiply != reference" + label);

@@ -243,8 +243,9 @@ TEST(PinnedEngine, BogusPinFailsOpenAndStaysBitwise)
 
 TEST(PinnedEngine, OnePoolPinsEachWorkerOnce)
 {
-    // 4 workers of one pool, each pinning itself once: 4 attempts, all
-    // failing on a CPU id that cannot exist — no extra threads, no
+    // 4 workers of one pool: the caller runs worker 0 unpinned, and
+    // each of the 3 pool threads pins itself once — 3 attempts, all
+    // failing on a CPU id that cannot exist; no extra threads, no
     // extra pins.
     SmvpFixtureData s;
     const DistributedProblem problem = eightPeProblem(s);
@@ -252,8 +253,8 @@ TEST(PinnedEngine, OnePoolPinsEachWorkerOnce)
                               SmvpKernelBackend::kBcsr3, kBogusCpus);
     EXPECT_EQ(engine.numThreads(), 4);
     EXPECT_EQ(engine.workerPool().size(), 4);
-    EXPECT_EQ(engine.workerPool().pinAttempts(), 4);
-    EXPECT_EQ(engine.pinFailures(), 4);
+    EXPECT_EQ(engine.workerPool().pinAttempts(), 3);
+    EXPECT_EQ(engine.pinFailures(), 3);
 }
 
 TEST(PinnedEngine, DetachedCollectorIsNeverTouchedAgain)

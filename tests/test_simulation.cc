@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #ifdef __linux__
@@ -111,10 +112,11 @@ TEST(Simulation, DistributedMatchesSequential)
 #ifdef __linux__
 TEST(Simulation, PinnedEnginePinsEachWorkerToOneCpu)
 {
-    // pinSmvpThreads pins worker w to CPU w of the affinity mask, so
-    // each worker's own mask holds exactly one CPU, and no two workers
-    // share it.
-    if (quake::parallel::affinityCpus().size() < 2)
+    // pinSmvpThreads pins pool thread w to CPU w of the affinity mask,
+    // so tid 1's own mask holds exactly CPU 1 of it.  Worker 0 runs on
+    // the caller's thread, whose mask the pool leaves untouched.
+    const std::vector<int> cpus = quake::parallel::affinityCpus();
+    if (cpus.size() < 2)
         GTEST_SKIP() << "needs at least 2 CPUs in the affinity mask";
     SmallProblem p;
     SimulationConfig config = smallConfig();
@@ -127,8 +129,11 @@ TEST(Simulation, PinnedEnginePinsEachWorkerToOneCpu)
     quake::parallel::WorkerPool &pool = engine.psmvp->workerPool();
     ASSERT_EQ(pool.size(), 2);
 
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::vector<int>> masks(2);
-    pool.run([&masks](int w) {
+    std::vector<std::thread::id> ran(2);
+    pool.run([&masks, &ran](int w) {
+        ran[static_cast<std::size_t>(w)] = std::this_thread::get_id();
         cpu_set_t set;
         CPU_ZERO(&set);
         if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) != 0)
@@ -137,9 +142,10 @@ TEST(Simulation, PinnedEnginePinsEachWorkerToOneCpu)
             if (CPU_ISSET(c, &set))
                 masks[static_cast<std::size_t>(w)].push_back(c);
     });
-    ASSERT_EQ(masks[0].size(), 1u);
-    ASSERT_EQ(masks[1].size(), 1u);
-    EXPECT_NE(masks[0][0], masks[1][0]);
+    EXPECT_EQ(ran[0], caller);
+    EXPECT_NE(ran[1], caller);
+    EXPECT_EQ(masks[0], cpus);
+    EXPECT_EQ(masks[1], std::vector<int>{cpus[1]});
 }
 #endif
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the persistent worker pool: every tid runs exactly once per
- * fork/join, the pool is reusable across many epochs (the engine runs
- * thousands of timesteps against one pool), the size-1 pool runs
- * inline without spawning threads, hardwareThreads() respects the
- * process affinity mask, advisory one-CPU-per-worker pinning counts
- * failures instead of aborting (DESIGN.md §13), and no worker touches a
- * collector after it is detached.
+ * fork/join, tid 0 on the caller's thread and every other tid on a
+ * pool thread of its own, the pool is reusable across many epochs (the
+ * engine runs thousands of timesteps against one pool) whether its
+ * waits end spinning or parked, hardwareThreads() respects the
+ * process affinity mask, advisory one-CPU-per-pool-thread pinning
+ * counts failures instead of aborting (DESIGN.md §13), and no worker
+ * touches a collector after it is detached.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -61,6 +64,68 @@ TEST(WorkerPool, SizeOneRunsInlineOnCallerThread)
         seen = std::this_thread::get_id();
     });
     EXPECT_EQ(seen, caller);
+}
+
+TEST(WorkerPool, CallerRunsTidZeroAndEachOtherTidHasItsOwnThread)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int n = 1; n <= 4; ++n) {
+        WorkerPool pool(n);
+        std::vector<std::thread::id> ran(static_cast<std::size_t>(n));
+        for (int round = 0; round < 3; ++round) {
+            pool.run([&](int tid) {
+                ran[static_cast<std::size_t>(tid)] =
+                    std::this_thread::get_id();
+            });
+            EXPECT_EQ(ran[0], caller) << "size " << n;
+            const std::set<std::thread::id> distinct(ran.begin(),
+                                                     ran.end());
+            EXPECT_EQ(distinct.size(), ran.size()) << "size " << n;
+        }
+    }
+}
+
+TEST(WorkerPool, SpinAndParkEdgesKeepEveryRunWhole)
+{
+    // Sleeping 0–2x the spin budget between runs ends the pool's waits
+    // on both sides of the spin/park edge.  Every tid must still run
+    // exactly once per run, and the join must stay a barrier: the plain
+    // writes below are read after run() returns (ThreadSanitizer checks
+    // the ordering, the values check the count).
+    constexpr int kSize = 4;
+    constexpr int kEpochs = 2000;
+    const auto budget_us = static_cast<int>(WorkerPool::kSpinBudget.count());
+    std::mt19937 rng(0x5eed);
+    std::uniform_int_distribution<int> pause_us(0, 2 * budget_us);
+
+    WorkerPool pool(kSize);
+    std::vector<int> runs(kSize, 0), last(kSize, -1);
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+        pool.run([&](int tid) {
+            ++runs[static_cast<std::size_t>(tid)];
+            last[static_cast<std::size_t>(tid)] = epoch;
+        });
+        for (int t = 0; t < kSize; ++t) {
+            ASSERT_EQ(runs[static_cast<std::size_t>(t)], epoch + 1);
+            ASSERT_EQ(last[static_cast<std::size_t>(t)], epoch);
+        }
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(pause_us(rng)));
+    }
+
+    // Idle far past the budget: every pool thread parks, and the run
+    // that wakes it counts the park on its slot (1 + tid).
+    quake::telemetry::Collector collector;
+    pool.setCollector(&collector);
+    pool.run([](int) {});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool.run([](int) {});
+    pool.setCollector(nullptr);
+    for (int tid = 1; tid < kSize; ++tid)
+        EXPECT_GE(collector.slot(1 + tid).counters[static_cast<std::size_t>(
+                      quake::telemetry::Counter::kPoolParks)],
+                  1u)
+            << "tid " << tid;
 }
 
 TEST(WorkerPool, DefaultSizeIsPositive)
@@ -117,16 +182,17 @@ TEST(WorkerPool, HardwareThreadsRespectsNarrowedMask)
 
 TEST(WorkerPool, PinnedWorkersCountAttemptsAndSucceedOnRealCpus)
 {
-    // Pin both workers to a CPU the process is allowed on: every
+    // Pin the pool thread to a CPU the process is allowed on: the
     // attempt must stick, and the pool must work exactly as unpinned.
+    // Worker 0 is the caller's thread and is never pinned.
     const std::vector<int> cpus = quake::parallel::affinityCpus();
     quake::parallel::WorkerPoolOptions opts;
-    opts.workerCpus = {cpus[0]}; // reused modulo size for both tids
+    opts.workerCpus = {cpus[0]}; // reused modulo size for tid 1
     WorkerPool pool(2, opts);
     std::atomic<int> total{0};
     pool.run([&](int) { total++; });
     EXPECT_EQ(total.load(), 2);
-    EXPECT_EQ(pool.pinAttempts(), 2);
+    EXPECT_EQ(pool.pinAttempts(), 1);
     EXPECT_EQ(pool.pinFailures(), 0);
 }
 
@@ -141,14 +207,14 @@ TEST(WorkerPool, BogusPinFailsGracefullyAndStillRuns)
     for (int epoch = 0; epoch < 10; ++epoch)
         pool.run([&](int) { total++; });
     EXPECT_EQ(total.load(), 20);
-    EXPECT_EQ(pool.pinAttempts(), 2);
-    EXPECT_EQ(pool.pinFailures(), 2);
+    EXPECT_EQ(pool.pinAttempts(), 1); // tid 1; the caller never pins
+    EXPECT_EQ(pool.pinFailures(), 1);
 }
 
 TEST(WorkerPool, SizeOnePoolIgnoresPinning)
 {
-    // Size-1 pools run inline on the caller's thread, which the pool
-    // must not re-pin out from under the caller.
+    // A size-1 pool is the caller's thread alone, which the pool must
+    // not re-pin out from under the caller.
     quake::parallel::WorkerPoolOptions opts;
     opts.workerCpus = {0};
     WorkerPool pool(1, opts);
@@ -180,8 +246,8 @@ TEST(WorkerPool, PinnedPoolDestructsCleanly)
 
 TEST(WorkerPool, DetachedCollectorIsNeverTouchedAgain)
 {
-    // Workers park on the condition variable between dispatches, and
-    // ~WorkerPool wakes them to stop.  A worker parked while the
+    // Pool threads spin and then park between dispatches, and
+    // ~WorkerPool wakes them to stop.  A thread parked while the
     // collector was attached must not record its final wait into that
     // collector once setCollector(nullptr) has returned: the caller may
     // already have destroyed it.
@@ -189,7 +255,7 @@ TEST(WorkerPool, DetachedCollectorIsNeverTouchedAgain)
     auto pool = std::make_unique<WorkerPool>(2);
     pool->setCollector(&collector);
     pool->run([](int) {});
-    // Let both workers park again with the collector still attached.
+    // Let the pool thread park again with the collector still attached.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     pool->setCollector(nullptr);
 
