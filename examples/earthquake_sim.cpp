@@ -7,16 +7,12 @@
  * Usage: earthquake_sim [--mesh sf20|sf10|sf5] [--pes N]
  *                       [--duration seconds] [--max-steps N]
  *                       [--freq hz] [--scale h-scale]
- *                       [--damping a0] [--seismogram path] [--pin]
+ *                       [--damping a0] [--seismogram path]
  *                       [--trace path] [--metrics path]
  *                       [--sample-every N]
  *                       [--faults [--drop-rate R] [--seed S]]
  *                       [--checkpoint path [--checkpoint-every N]]
  *                       [--resume] [--deadline ms] [--retries N]
- *
- * --pin pins worker w of the distributed engine to CPU w of the
- * process affinity mask (advisory, DESIGN.md §13).  It is an execution
- * knob: the trajectory is bitwise identical with and without it.
  *
  * With --checkpoint, the run snapshots its full state to `path`
  * atomically every N steps (default 100); kill it at any point and
@@ -79,7 +75,6 @@ run(int argc, char **argv)
     config.wavelet.delaySeconds = 2.0 / config.wavelet.peakFrequencyHz;
     config.sampleInterval = 50;
     config.dampingA0 = args.getDouble("damping", 0.0);
-    config.pinSmvpThreads = args.has("pin");
 
     // Fail on bad flags before any mesh is generated: the config, the
     // run options, the telemetry flags, and the fault spec (when
@@ -130,8 +125,6 @@ run(int argc, char **argv)
               << config.numPes << " PE(s), source at ("
               << config.hypocenter.x << ", " << config.hypocenter.y
               << ", " << config.hypocenter.z << ") km depth...\n";
-    if (config.pinSmvpThreads)
-        std::cout << "  engine workers pinned one per CPU\n";
 
     // Generate the mesh up front so receiver stations can be placed.
     const mesh::LayeredBasinModel model;

@@ -25,6 +25,11 @@ comparison (new benchmarks appear, old ones are retired).  The intended
 workflow (README.md "Benchmark workflow"): save BENCH_tf_kernels.json
 from the baseline commit, rerun on the candidate, then diff.
 
+Both files' host blocks are printed first.  When they differ, a
+"different host: trajectory only" line precedes the diff: timings from
+two machines say how the numbers moved, not whether the code got
+slower.  The exit status does not depend on the hosts.
+
 With --report-only the full diff (including regressions) is printed but
 the exit status is always 0.  That is the mode the `perf` ctest tier
 uses against the baselines committed under bench/baselines/: those were
@@ -34,7 +39,9 @@ information, not a same-host gate.
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 # metric name -> True when lower is better.
 GATED_METRICS = {
@@ -47,14 +54,30 @@ GATED_METRICS = {
 INFO_METRICS = ("bytes_per_flop", "gbps", "padding_ratio")
 
 
-def load_records(path):
-    """Map kernel label -> record dict from a BENCH json file."""
+DIFFERENT_HOST = "different host: trajectory only"
+
+
+def load_bench(path):
+    """(host block, kernel label -> record dict) of a BENCH json file."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     records = {}
     for rec in doc.get("records", []):
         records[rec["kernel"]] = rec
-    return records
+    return doc.get("host", {}), records
+
+
+def host_lines(base_host, cand_host):
+    """Both host blocks, after the DIFFERENT_HOST line when they differ."""
+    def describe(host):
+        if not host:
+            return "(no host block)"
+        return ", ".join("%s=%s" % (k, host[k]) for k in sorted(host))
+
+    lines = [DIFFERENT_HOST] if base_host != cand_host else []
+    lines.append("  baseline host:  " + describe(base_host))
+    lines.append("  candidate host: " + describe(cand_host))
+    return lines
 
 
 def compare(baseline, candidate, threshold):
@@ -155,6 +178,26 @@ def self_test():
     assert exit_code(regressions, report_only=False) == 1
     assert exit_code([], report_only=False) == 0
 
+    # Host blocks round-trip through files; equal hosts print no
+    # warning, differing ones print it first.
+    host = {"hardware_threads": 4, "compiler": "12.2.0",
+            "build": "optimized"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "BENCH_fixture.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump({"host": host, "records": list(base.values())}, f)
+        loaded_host, loaded = load_bench(path)
+    assert loaded_host == host, loaded_host
+    assert loaded == base, loaded
+    same = host_lines(host, dict(host))
+    assert DIFFERENT_HOST not in same, same
+    assert len(same) == 2 and "hardware_threads=4" in same[1], same
+    other = host_lines(host, dict(host, hardware_threads=1))
+    assert other[0] == DIFFERENT_HOST, other
+    assert "hardware_threads=4" in other[1], other
+    assert "hardware_threads=1" in other[2], other
+    assert host_lines({}, host)[0] == DIFFERENT_HOST
+
     print("bench_compare self-test: all assertions passed")
     return 0
 
@@ -190,15 +233,15 @@ def main():
     if not args.baseline or not args.candidate:
         parser.error("baseline and candidate files are required")
 
-    baseline = load_records(args.baseline)
-    candidate = load_records(args.candidate)
+    base_host, baseline = load_bench(args.baseline)
+    cand_host, candidate = load_bench(args.candidate)
     lines, regressions = compare(baseline, candidate, args.threshold)
 
     print(
         "bench_compare: %s -> %s (threshold %.0f%%)"
         % (args.baseline, args.candidate, 100.0 * args.threshold)
     )
-    for line in lines:
+    for line in host_lines(base_host, cand_host) + lines:
         print(line)
 
     if regressions:

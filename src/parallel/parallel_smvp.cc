@@ -54,8 +54,7 @@ finalizeRows(const Subdomain &sub, int pe, const std::int64_t *rows,
 
 ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
                            int num_threads, ExchangeMode mode,
-                           SmvpKernelBackend backend,
-                           std::vector<int> pin_cpus)
+                           SmvpKernelBackend backend)
     : problem_(problem), mode_(mode), backend_(backend)
 {
     QUAKE_EXPECT(!problem.subdomains.empty(),
@@ -72,10 +71,7 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
     const int p = problem.numPes();
     num_threads_ = std::min(
         num_threads > 0 ? num_threads : WorkerPool::hardwareThreads(), p);
-    const bool pinned = !pin_cpus.empty();
-    WorkerPoolOptions opts;
-    opts.workerCpus = std::move(pin_cpus);
-    pool_ = std::make_unique<WorkerPool>(num_threads_, std::move(opts));
+    pool_ = std::make_unique<WorkerPool>(num_threads_);
 
     // Precompute exchange bookkeeping.
     exchange_base_.resize(static_cast<std::size_t>(p) + 1, 0);
@@ -129,8 +125,6 @@ ParallelSmvp::ParallelSmvp(const DistributedProblem &problem,
     if (backend_ == SmvpKernelBackend::kSlicedEll3) {
         boundary_ell_.resize(static_cast<std::size_t>(p));
         interior_ell_.resize(static_cast<std::size_t>(p));
-    } else if (pinned) {
-        local_stiffness_.resize(static_cast<std::size_t>(p));
     }
     pool_->run([this, p](int w) {
         for (int i = w; i < p; i += num_threads_)
@@ -178,11 +172,6 @@ ParallelSmvp::initPeSlabs(int i)
             sparse::SlicedEll3Matrix::fromBcsr3Rows(
                 sub.stiffness, sub.interiorRows.data(),
                 static_cast<std::int64_t>(sub.interiorRows.size()));
-    } else if (!local_stiffness_.empty()) {
-        // Pinned BCSR3: copy the subdomain stiffness so the dominant
-        // kernel stream reads pages this worker first-touched.
-        // Identical values — results are bitwise unchanged.
-        local_stiffness_[static_cast<std::size_t>(i)] = sub.stiffness;
     }
 }
 
@@ -193,11 +182,6 @@ ParallelSmvp::setCollector(telemetry::Collector *collector)
     // engine's: slot 0 and 1 + w.
     pool_->setCollector(collector);
     tele_ = collector;
-    if (collector != nullptr && collector->enabled()) {
-        // A construction-time fact, recorded once on attach.
-        collector->add(0, telemetry::Counter::kPinFailures,
-                       static_cast<std::uint64_t>(pinFailures()));
-    }
 }
 
 void
@@ -256,7 +240,7 @@ ParallelSmvp::runLocalPhase(int w, const Finalize &fin) const
         if (backend_ == SmvpKernelBackend::kSlicedEll3)
             boundary_ell_[i].multiply(xl.data(), yl.data());
         else
-            localK(i).multiplyRowList(
+            sub.stiffness.multiplyRowList(
                 xl.data(), yl.data(), sub.boundaryRows.data(),
                 static_cast<std::int64_t>(sub.boundaryRows.size()));
 
@@ -316,7 +300,7 @@ ParallelSmvp::runLocalPhase(int w, const Finalize &fin) const
         } else {
             for (std::int64_t r0 = 0; r0 < nr; r0 += kRowBatch) {
                 const std::int64_t count = std::min(kRowBatch, nr - r0);
-                localK(i).multiplyRowList(xl, yl, rows + r0, count);
+                sub.stiffness.multiplyRowList(xl, yl, rows + r0, count);
                 finalizeRows(sub, i, rows + r0, count, fin);
             }
         }
@@ -503,7 +487,7 @@ ParallelSmvp::stepFused(const sparse::StepUpdate &su) const
 
     // Ascending-PE combine: the per-PE accumulation order is fixed by
     // the partition, so the reduced values are independent of thread
-    // count, pinning, and exchange mode.
+    // count and exchange mode.
     sparse::StepPartials out;
     for (int i = 0; i < p; ++i)
         out.combine(

@@ -18,16 +18,15 @@
  *    flight — the paper's footnote-1 overlap, realized in execution
  *    rather than only in the analytic model.
  *
- * Worker w of T serves PEs w, w + T, w + 2T, ... (DESIGN.md §13).
- * Under pinning each worker but the caller's pins itself to one CPU;
- * every worker first-touches its PEs' slabs, scratch, exchange
- * buffers, and a copy of their stiffness, so the pages it streams
- * every step stay where it runs.
+ * Worker w of T serves PEs w, w + T, w + 2T, ... (DESIGN.md §13), and
+ * first-touches their slabs, scratch, and exchange buffers at
+ * construction.  The engine places no thread: its workers run wherever
+ * the scheduler puts them in the process affinity mask.
  *
- * The result is bitwise deterministic and independent of thread count,
- * pinning, and overlap mode: every row is computed by the same
- * unrolled kernel, and each PE sums peer contributions in ascending
- * peer order (verify property `engine_invariance`).
+ * The result is bitwise deterministic and independent of thread count
+ * and overlap mode: every row is computed by the same unrolled kernel,
+ * and each PE sums peer contributions in ascending peer order (verify
+ * property `engine_invariance`).
  */
 
 #ifndef QUAKE98_PARALLEL_PARALLEL_SMVP_H_
@@ -82,14 +81,6 @@ class ParallelSmvp
      *                    cache-line-padded sliced-ELL slabs at
      *                    construction; the steady-state step performs
      *                    no further allocation.
-     * @param pin_cpus    Empty = unpinned.  Otherwise worker w >= 1
-     *                    pins itself to CPU pin_cpus[w % pin_cpus.size()]
-     *                    before its first task (advisory — see
-     *                    pinFailures()); worker 0 is the calling thread
-     *                    and is never pinned.  The BCSR3 backend then
-     *                    gives each PE a copy of its subdomain
-     *                    stiffness, first-touched by the worker that
-     *                    serves it.
      *
      * Each worker first-touch-initializes the kernel slabs, scratch
      * vectors, and exchange buffers of the PEs it serves during
@@ -98,8 +89,7 @@ class ParallelSmvp
     explicit ParallelSmvp(
         const DistributedProblem &problem, int num_threads = 0,
         ExchangeMode mode = ExchangeMode::kOverlapped,
-        SmvpKernelBackend backend = SmvpKernelBackend::kBcsr3,
-        std::vector<int> pin_cpus = {});
+        SmvpKernelBackend backend = SmvpKernelBackend::kBcsr3);
 
     /**
      * Compute y = K x on global vectors of length 3 * numGlobalNodes.
@@ -135,8 +125,8 @@ class ParallelSmvp
      * pass.  Peak/energy reductions accumulate into per-PE partials
      * (fixed per-PE row order: interior ascending, then owned boundary
      * ascending) combined in ascending PE order, so the returned
-     * values are bitwise deterministic across thread counts, pinning,
-     * and exchange modes.  The updated u_{n+1} written to su.up is
+     * values are bitwise deterministic across thread counts and
+     * exchange modes.  The updated u_{n+1} written to su.up is
      * bitwise identical to multiply() + the unfused reference triad.
      *
      * Performs no heap allocation: scratch is persistent and the pool
@@ -154,15 +144,6 @@ class ParallelSmvp
     SmvpKernelBackend kernelBackend() const { return backend_; }
 
     /**
-     * Advisory pin attempts that failed, at most one per pool thread
-     * (numThreads() − 1; 0 when the engine is unpinned or every pin
-     * stuck).
-     * Complete once construction returns: the first-touch setup
-     * dispatch joins all workers past their self-pin.
-     */
-    std::int64_t pinFailures() const { return pool_->pinFailures(); }
-
-    /**
      * Exchange bytes received per multiply, summed over every PE:
      * localExchangeBytes() holds them all and remoteExchangeBytes() is
      * 0, since every PE's buffers live in the one process.  Callers
@@ -172,20 +153,13 @@ class ParallelSmvp
     std::int64_t localExchangeBytes() const { return exchange_bytes_; }
 
     /**
-     * The engine's worker pool (numThreads() workers): its size and
-     * pin counts.  Must not be run while a multiply is in flight.
-     */
-    WorkerPool &workerPool() const { return *pool_; }
-
-    /**
      * Attach a telemetry collector (DESIGN.md §9).  Each worker then
      * times its local and exchange phases into per-thread histograms on
      * every multiply, counts actual publish waits (acquire-spin nanos),
      * and records per-PE boundary/exchange/spin spans on steps where
-     * collector->sampledStep() holds.  Pin failures are recorded once,
-     * on attach.  Slot layout: 0 = the
-     * engine and pool control, 1 + w = worker w — a single writer per
-     * slot, so recording never contends.  Recording writes only to the
+     * collector->sampledStep() holds.  Slot layout: 0 = the engine and
+     * pool control, 1 + w = worker w — a single writer per slot, so
+     * recording never contends.  Recording writes only to the
      * collector's preallocated per-thread slots, so the 0-allocs/step
      * and bitwise-determinism contracts of DESIGN.md §8 are preserved
      * (tested in test_telemetry.cc).  Setup-time only; pass nullptr to
@@ -213,16 +187,6 @@ class ParallelSmvp
      */
     std::vector<sparse::SlicedEll3Matrix> boundary_ell_;
     std::vector<sparse::SlicedEll3Matrix> interior_ell_;
-
-    /**
-     * Pinned kBcsr3 engines: per-PE copies of the subdomain stiffness,
-     * first-touched by the serving worker so the dominant kernel
-     * stream reads pages it placed.  Values are identical to the
-     * originals, so results are bitwise unchanged.  Empty when
-     * unpinned, whose kernels read the subdomain matrix: a copy would
-     * add the whole matrix to the resident set (DESIGN.md §13).
-     */
-    std::vector<sparse::Bcsr3Matrix> local_stiffness_;
 
     /**
      * For subdomain p, exchange k: index of the mirrored exchange in the
@@ -269,15 +233,6 @@ class ParallelSmvp
 
     /** Per-PE step partials, padded to a cache line (stride 4). */
     mutable std::vector<sparse::StepPartials> step_partials_;
-
-    /** The stiffness PE i's kernels read (first-touched copy if any). */
-    const sparse::Bcsr3Matrix &localK(int i) const
-    {
-        return local_stiffness_.empty()
-                   ? problem_.subdomains[static_cast<std::size_t>(i)]
-                         .stiffness
-                   : local_stiffness_[static_cast<std::size_t>(i)];
-    }
 
     /**
      * Allocate and fill PE i's persistent slabs: local vectors,

@@ -5,7 +5,6 @@
 #include "common/error.h"
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 #if defined(__x86_64__) || defined(__i386__)
@@ -68,69 +67,25 @@ runOnCaller(const std::function<void(int)> &fn) noexcept
     fn(0);
 }
 
-/**
- * Pin the calling thread to CPU `cpu` (pthread_setaffinity_np).
- * Returns false — without side effects — on failure, an id outside
- * the cpu_set_t, or platforms without the call.
- */
-bool
-pinCurrentThreadToCpu(int cpu)
-{
-#if defined(__linux__)
-    if (cpu < 0 || cpu >= CPU_SETSIZE)
-        return false;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-    (void)cpu;
-    return false;
-#endif
-}
-
 } // namespace
-
-std::vector<int>
-affinityCpus()
-{
-#if defined(__linux__)
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-        std::vector<int> cpus;
-        for (int c = 0; c < CPU_SETSIZE; ++c)
-            if (CPU_ISSET(c, &set))
-                cpus.push_back(c);
-        if (!cpus.empty())
-            return cpus;
-    }
-#endif
-    const int n = std::max(
-        1, static_cast<int>(std::thread::hardware_concurrency()));
-    std::vector<int> cpus(static_cast<std::size_t>(n));
-    for (int c = 0; c < n; ++c)
-        cpus[static_cast<std::size_t>(c)] = c;
-    return cpus;
-}
 
 int
 WorkerPool::hardwareThreads()
 {
-    // affinityCpus() honors sched_getaffinity where available, so a
-    // container restricted to 4 of 64 cores gets 4 workers instead of
-    // oversubscribing 64 onto 4; it already falls back to
-    // hardware_concurrency (clamped to >= 1) elsewhere.
-    return static_cast<int>(affinityCpus().size());
+    // The affinity mask, not hardware_concurrency: a container
+    // restricted to 4 of 64 cores gets 4 workers instead of
+    // oversubscribing 64 onto 4.
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0)
+        return CPU_COUNT(&set);
+#endif
+    return std::max(1,
+                    static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 WorkerPool::WorkerPool(int num_threads)
-    : WorkerPool(num_threads, WorkerPoolOptions{})
-{
-}
-
-WorkerPool::WorkerPool(int num_threads, WorkerPoolOptions options)
-    : options_(std::move(options))
 {
     QUAKE_EXPECT(num_threads >= 0, "thread count must be nonnegative");
     const int cpus = hardwareThreads();
@@ -168,17 +123,6 @@ WorkerPool::setCollector(telemetry::Collector *collector)
 void
 WorkerPool::workerLoop(int tid)
 {
-    // Self-pin before the first wait: any task this worker ever runs
-    // (and any page it first-touches) executes post-pin.  Advisory —
-    // a failure is counted and the worker keeps running unpinned.
-    if (!options_.workerCpus.empty()) {
-        pin_attempts_.fetch_add(1, std::memory_order_relaxed);
-        if (!pinCurrentThreadToCpu(
-                options_.workerCpus[static_cast<std::size_t>(tid) %
-                                    options_.workerCpus.size()]))
-            pin_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     std::uint64_t seen = 0;
     // The collector of the last run served and when its task ended:
     // the wait since is recorded only if the same collector is still

@@ -11,12 +11,8 @@
  * waiting for the next run, the caller waiting at the join — spin for
  * kSpinBudget before they park on a condition variable, so a run
  * whose waits end within the budget puts no wake-up on its critical
- * path (DESIGN.md §7).
- *
- * WorkerPoolOptions optionally pins each pool thread to one CPU, so a
- * worker — and the pages it first-touches — stays on that CPU for the
- * pool's lifetime (DESIGN.md §13); pinning is advisory (failures
- * counted, never fatal).
+ * path (DESIGN.md §7).  The pool places no thread: the scheduler runs
+ * its threads anywhere in the process affinity mask (DESIGN.md §13).
  */
 
 #ifndef QUAKE98_PARALLEL_WORKER_POOL_H_
@@ -35,19 +31,6 @@
 
 namespace quake::parallel
 {
-
-/** Optional per-pool placement knobs (see WorkerPool ctor). */
-struct WorkerPoolOptions
-{
-    /**
-     * The CPU id worker t pins itself to: entry t, reused modulo size
-     * when shorter; empty = no pinning.  Each pool thread pins itself
-     * before its first dispatch, so every task runs post-pin.  Worker 0
-     * is never pinned: it is the caller's thread, which the pool must
-     * not hijack.
-     */
-    std::vector<int> workerCpus;
-};
 
 /**
  * A fixed-size pool of workers executing fork/join tasks.  run(fn)
@@ -75,9 +58,6 @@ class WorkerPool
     /** @param num_threads Workers; 0 means hardwareThreads(). */
     explicit WorkerPool(int num_threads = 0);
 
-    /** As above, with placement options (pinning). */
-    WorkerPool(int num_threads, WorkerPoolOptions options);
-
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
@@ -99,18 +79,6 @@ class WorkerPool
      * std::thread::hardware_concurrency; always >= 1.
      */
     static int hardwareThreads();
-
-    /** Pin attempts made by this pool's threads (0 when unpinned). */
-    std::int64_t pinAttempts() const
-    {
-        return pin_attempts_.load(std::memory_order_relaxed);
-    }
-
-    /** Pin attempts that failed (the advisory-fallback path). */
-    std::int64_t pinFailures() const
-    {
-        return pin_failures_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Attach a telemetry collector (DESIGN.md §9): each run() records a
@@ -144,9 +112,6 @@ class WorkerPool
 
     int size_ = 1;
     bool spin_ = false; ///< waits spin before parking (> 1 CPU)
-    WorkerPoolOptions options_;
-    std::atomic<std::int64_t> pin_attempts_{0};
-    std::atomic<std::int64_t> pin_failures_{0};
     std::vector<std::thread> threads_; ///< workers 1 .. size() − 1
 
     /**
@@ -165,12 +130,6 @@ class WorkerPool
     int sleepers_ = 0;          ///< pool threads parked on cv_start_
     bool caller_parked_ = false; ///< the caller is parked on cv_done_
 };
-
-/**
- * CPU ids the process may run on (sched_getaffinity), ascending.  Falls
- * back to [0, hardware_concurrency) where the syscall is unavailable.
- */
-std::vector<int> affinityCpus();
 
 } // namespace quake::parallel
 

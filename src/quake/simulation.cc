@@ -170,18 +170,14 @@ makeSimulationEngineWith(const mesh::TetMesh &mesh,
                         partitioner.partition(mesh, config.numPes),
                         config.poisson));
         }
-        // Thread placement (DESIGN.md §13): pinned, worker w runs on
-        // CPU w of the affinity mask.  Neither the thread count nor
-        // the pins enter the fingerprint: the trajectory is bitwise
-        // invariant across them.
+        // The thread count does not enter the fingerprint: the
+        // trajectory is bitwise invariant across it (DESIGN.md §13).
         engine.psmvp = std::make_shared<parallel::ParallelSmvp>(
             *engine.problem, config.smvpThreads,
             config.overlapSmvp ? parallel::ExchangeMode::kOverlapped
                                : parallel::ExchangeMode::kBarrier,
             use_ell ? parallel::SmvpKernelBackend::kSlicedEll3
-                    : parallel::SmvpKernelBackend::kBcsr3,
-            config.pinSmvpThreads ? parallel::affinityCpus()
-                                  : std::vector<int>{});
+                    : parallel::SmvpKernelBackend::kBcsr3);
         // Zero-copy: the engine writes straight into the stepper's ku
         // scratch — the seed's `y = psmvp->multiply(x)` allocated and
         // copied a full DOF vector every step.

@@ -61,18 +61,6 @@ struct SimulationConfig
     int smvpThreads = 0;
 
     /**
-     * Pin engine worker w to CPU w of the process affinity mask
-     * (DESIGN.md §13), distributed runs only; advisory — failures are
-     * counted, never fatal.
-     *
-     * Like smvpThreads/overlapSmvp/fusedStep this is an execution knob
-     * only — the trajectory is bitwise invariant across it (verify
-     * property `engine_invariance`) — so it does not enter the
-     * checkpoint fingerprint.
-     */
-    bool pinSmvpThreads = false;
-
-    /**
      * Overlap the interior-row compute with the boundary exchange
      * (ExchangeMode::kOverlapped).  The result is bitwise identical
      * either way; this only changes scheduling.

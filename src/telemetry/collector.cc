@@ -50,7 +50,6 @@ counterName(Counter c)
       case Counter::kRunDegradations: return "run_degradations";
       case Counter::kEllSliceMultiplies: return "ell_slice_multiplies";
       case Counter::kEllPaddedBlocks: return "ell_padded_blocks";
-      case Counter::kPinFailures: return "pin_failures";
       case Counter::kScenariosSubmitted: return "scenarios_submitted";
       case Counter::kScenariosCompleted: return "scenarios_completed";
       case Counter::kScenariosShed: return "scenarios_shed";

@@ -83,8 +83,6 @@ enum class Counter : std::uint8_t
     // Per-kernel backend counters (sliced-ELL engine, DESIGN.md §12).
     kEllSliceMultiplies, ///< sliced-ELL slice kernels executed
     kEllPaddedBlocks,    ///< zero-padding blocks streamed by those slices
-    // Thread placement (DESIGN.md §13).
-    kPinFailures, ///< advisory thread pins that failed
     // Scenario-service counters (service/service.h, DESIGN.md §14).
     kScenariosSubmitted,     ///< requests accepted into the queue
     kScenariosCompleted,     ///< scenarios that ran to completion

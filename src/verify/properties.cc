@@ -268,10 +268,8 @@ propFusedVsUnfused(const TrialConfig &cfg)
 // ---------------------------------------------------------------------------
 // Property: the distributed engine is invariant across its execution
 // knobs.  For each kernel backend it is bitwise equal to its own
-// 1-thread barrier reference at every configured thread count and with
-// workers pinned — one per CPU of the affinity mask, and to a CPU that
-// cannot exist, so every pin takes the advisory-failure fallback — in
-// both exchange modes; multiplyInto equals multiply; stepFused equals
+// 1-thread barrier reference at every configured thread count in both
+// exchange modes; multiplyInto equals multiply; stepFused equals
 // the reference's multiply + the reference triad, with partials stable
 // across configs.
 // Each reference is ULP-close to the global assembly, and the two
@@ -294,22 +292,6 @@ propEngineInvariance(const TrialConfig &cfg)
     const std::vector<double> refGlobal = sys.stiffness.multiply(x);
     StepFixture fx = StepFixture::make(gen, n, sys.lumpedMass, sys.dt);
     fx.u = x; // the fused step's x is the multiply's x
-
-    // Unpinned at each configured thread count, then 4 workers pinned
-    // to real and to bogus CPUs (workers cap at the PE count on small
-    // partitions — also under test).
-    struct Config
-    {
-        std::string label;
-        int threads;
-        std::vector<int> pinCpus;
-        bool bogusCpus;
-    };
-    std::vector<Config> configs;
-    for (int t : cfg.threads)
-        configs.push_back({std::to_string(t) + " threads", t, {}, false});
-    configs.push_back({"4 pinned", 4, parallel::affinityCpus(), false});
-    configs.push_back({"4 bogus-pin", 4, {1 << 20}, true});
 
     std::vector<std::vector<double>> yBackend;
     for (parallel::SmvpKernelBackend backend :
@@ -337,28 +319,22 @@ propEngineInvariance(const TrialConfig &cfg)
              {parallel::ExchangeMode::kBarrier,
               parallel::ExchangeMode::kOverlapped})
         {
-            for (const Config &c : configs)
+            // Workers cap at the PE count on small partitions (also
+            // under test).
+            for (int threads : cfg.threads)
             {
-                const parallel::ParallelSmvp engine(
-                    problem, c.threads, mode, backend, c.pinCpus);
+                const parallel::ParallelSmvp engine(problem, threads, mode,
+                                                    backend);
                 const std::string label =
                     " (" + bname +
                     (mode == parallel::ExchangeMode::kBarrier
                          ? " barrier "
                          : " overlapped ") +
-                    c.label + ")";
+                    std::to_string(threads) + " threads)";
 
                 if (engine.numThreads() < 1 ||
                     engine.numThreads() > problem.numPes())
                     return fail("thread count out of range" + label);
-                // Worker 0 is the caller's thread and never pins.
-                if (c.bogusCpus &&
-                    engine.pinFailures() != engine.numThreads() - 1)
-                    return fail("bogus-CPU pins: " +
-                                std::to_string(engine.pinFailures()) +
-                                " failures for " +
-                                std::to_string(engine.numThreads() - 1) +
-                                " pool threads" + label);
 
                 if (!bitwiseEqual(yRef, engine.multiply(x)))
                     return fail("engine multiply != reference" + label);
@@ -1547,8 +1523,8 @@ allProperties()
          propFusedVsUnfused},
         {"engine_invariance",
          "ParallelSmvp bitwise invariant per backend across thread "
-         "counts, one-CPU-per-worker (and failing) pins, and both "
-         "exchange modes; fused == multiply + triad; ULP across backends",
+         "counts and both exchange modes; fused == multiply + triad; ULP "
+         "across backends",
          propEngineInvariance},
         {"symmetry_bilinear", "x'Ky == y'Kx on assembled and random SPD K",
          propSymmetryBilinear},

@@ -2,9 +2,8 @@
  * @file
  * Tests for the executable parallel SMVP: exact agreement with the
  * sequential global product across part counts and thread counts,
- * bitwise determinism, input validation, and pinned engines (one CPU
- * per worker, DESIGN.md §13): advisory pins that fail open, one pin
- * per worker, collector detach, and clean teardown.
+ * bitwise determinism, input validation, collector detach, and clean
+ * teardown with parked workers.
  */
 
 #include <gtest/gtest.h>
@@ -215,56 +214,15 @@ TEST(ParallelSmvp, ZeroInputGivesZeroOutput)
         EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-// ------------------------------------------------------ pinned engines
-
-/** The 8-PE problem of the default fixture lattice. */
-DistributedProblem
-eightPeProblem(const SmvpFixtureData &s)
+TEST(ParallelSmvp, DetachedCollectorIsNeverTouchedAgain)
 {
-    return distribute(s.mesh, s.model,
-                      GeometricBisection().partition(s.mesh, 8));
-}
-
-/** Worker pins to a CPU id no machine has: every pin fails. */
-const std::vector<int> kBogusCpus = {1 << 20};
-
-TEST(PinnedEngine, BogusPinFailsOpenAndStaysBitwise)
-{
-    SmvpFixtureData s;
-    const DistributedProblem problem = eightPeProblem(s);
-    const std::vector<double> y_ref =
-        ParallelSmvp(problem, 1).multiply(s.x);
-
-    const ParallelSmvp engine(problem, 4, ExchangeMode::kOverlapped,
-                              SmvpKernelBackend::kBcsr3, kBogusCpus);
-    EXPECT_GT(engine.pinFailures(), 0);
-    EXPECT_EQ(engine.multiply(s.x), y_ref);
-}
-
-TEST(PinnedEngine, OnePoolPinsEachWorkerOnce)
-{
-    // 4 workers of one pool: the caller runs worker 0 unpinned, and
-    // each of the 3 pool threads pins itself once — 3 attempts, all
-    // failing on a CPU id that cannot exist; no extra threads, no
-    // extra pins.
-    SmvpFixtureData s;
-    const DistributedProblem problem = eightPeProblem(s);
-    const ParallelSmvp engine(problem, 4, ExchangeMode::kOverlapped,
-                              SmvpKernelBackend::kBcsr3, kBogusCpus);
-    EXPECT_EQ(engine.numThreads(), 4);
-    EXPECT_EQ(engine.workerPool().size(), 4);
-    EXPECT_EQ(engine.workerPool().pinAttempts(), 3);
-    EXPECT_EQ(engine.pinFailures(), 3);
-}
-
-TEST(PinnedEngine, DetachedCollectorIsNeverTouchedAgain)
-{
-    // setCollector(nullptr) must reach every pinned worker: once it
-    // returns, tearing the engine down — which wakes every parked
-    // worker — records nothing more.
+    // setCollector(nullptr) must reach every worker: once it returns,
+    // tearing the engine down — which wakes every parked worker —
+    // records nothing more.
     namespace telemetry = quake::telemetry;
     SmvpFixtureData s;
-    const DistributedProblem problem = eightPeProblem(s);
+    const DistributedProblem problem = distribute(
+        s.mesh, s.model, GeometricBisection().partition(s.mesh, 8));
     const std::size_t n = s.x.size();
     std::vector<double> up(n, 0.0), inv_mass(n, 1.0), force(n, 0.0);
     quake::sparse::StepUpdate su;
@@ -276,9 +234,7 @@ TEST(PinnedEngine, DetachedCollectorIsNeverTouchedAgain)
     su.dt2 = su.dt * su.dt;
 
     telemetry::Collector collector;
-    auto engine = std::make_unique<ParallelSmvp>(
-        problem, 4, ExchangeMode::kOverlapped, SmvpKernelBackend::kBcsr3,
-        affinityCpus());
+    auto engine = std::make_unique<ParallelSmvp>(problem, 4);
     ASSERT_EQ(engine->numThreads(), 4);
     engine->setCollector(&collector);
     engine->stepFused(su);
@@ -302,19 +258,17 @@ TEST(PinnedEngine, DetachedCollectorIsNeverTouchedAgain)
     EXPECT_EQ(totals(), detached);
 }
 
-TEST(PinnedEngine, DestructsCleanlyAfterUse)
+TEST(ParallelSmvp, DestructsCleanlyAfterUse)
 {
     SmvpFixtureData s;
     const DistributedProblem problem = distribute(
         s.mesh, s.model, GeometricBisection().partition(s.mesh, 4));
     std::vector<double> y_first;
     {
-        const ParallelSmvp engine(problem, 4, ExchangeMode::kOverlapped,
-                                  SmvpKernelBackend::kBcsr3,
-                                  affinityCpus());
+        const ParallelSmvp engine(problem, 4);
         y_first = engine.multiply(s.x);
-        // Destruction with pinned workers parked mid-epoch must join
-        // every worker without hanging.
+        // Destruction right after a run, with workers still spinning
+        // or already parked, must join every worker without hanging.
     }
     EXPECT_EQ(y_first, ParallelSmvp(problem, 1).multiply(s.x));
 }

@@ -1,26 +1,18 @@
 /**
  * @file
  * Tests for the end-to-end Quake simulation driver: sequential and
- * distributed runs agree, reports are coherent, the SMVP dominates
- * the step time (the paper's §2.3 premise), and a pinned engine runs
- * each worker on its own CPU.
+ * distributed runs agree, reports are coherent, and the SMVP dominates
+ * the step time (the paper's §2.3 premise).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/error.h"
 #include "mesh/generator.h"
-#include "parallel/parallel_smvp.h"
 #include "quake/simulation.h"
 
 namespace
@@ -108,46 +100,6 @@ TEST(Simulation, DistributedMatchesSequential)
                     par.samples[i].kineticEnergy,
                     1e-6 * (1.0 + seq.samples[i].kineticEnergy));
 }
-
-#ifdef __linux__
-TEST(Simulation, PinnedEnginePinsEachWorkerToOneCpu)
-{
-    // pinSmvpThreads pins pool thread w to CPU w of the affinity mask,
-    // so tid 1's own mask holds exactly CPU 1 of it.  Worker 0 runs on
-    // the caller's thread, whose mask the pool leaves untouched.
-    const std::vector<int> cpus = quake::parallel::affinityCpus();
-    if (cpus.size() < 2)
-        GTEST_SKIP() << "needs at least 2 CPUs in the affinity mask";
-    SmallProblem p;
-    SimulationConfig config = smallConfig();
-    config.numPes = 8;
-    config.smvpThreads = 2;
-    config.pinSmvpThreads = true;
-    const SimulationEngine engine =
-        makeSimulationEngine(p.mesh, p.model, config);
-    ASSERT_NE(engine.psmvp, nullptr);
-    quake::parallel::WorkerPool &pool = engine.psmvp->workerPool();
-    ASSERT_EQ(pool.size(), 2);
-
-    const std::thread::id caller = std::this_thread::get_id();
-    std::vector<std::vector<int>> masks(2);
-    std::vector<std::thread::id> ran(2);
-    pool.run([&masks, &ran](int w) {
-        ran[static_cast<std::size_t>(w)] = std::this_thread::get_id();
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) != 0)
-            return;
-        for (int c = 0; c < CPU_SETSIZE; ++c)
-            if (CPU_ISSET(c, &set))
-                masks[static_cast<std::size_t>(w)].push_back(c);
-    });
-    EXPECT_EQ(ran[0], caller);
-    EXPECT_NE(ran[1], caller);
-    EXPECT_EQ(masks[0], cpus);
-    EXPECT_EQ(masks[1], std::vector<int>{cpus[1]});
-}
-#endif
 
 TEST(Simulation, MaxStepsCapsRun)
 {
